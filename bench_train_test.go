@@ -2,10 +2,10 @@ package gnnlab
 
 // BenchmarkMinibatch measures the end-to-end training mini-batch —
 // Sample, Extract (gather), forward+backward, optimizer step — with
-// fresh allocations versus the pooled scratch path (sampling arena +
-// feature.GatherInto + nn.Workspace), with and without a feature cache.
-// Both variants compute bit-identical results (internal/train's
-// TestTrainPooledMatchesFresh); only cost changes. Results land in
+// brand-new buffers every call versus the pooled scratch path (sampling
+// arena + a reused gather matrix, Compact and nn.Workspace), with and
+// without a feature cache. Both variants compute bit-identical results
+// (internal/train's TestTrainPooledMatchesFresh); only cost changes. Results land in
 // BENCH_train.json alongside BENCH_sample.json's Sample-stage numbers.
 
 import (
@@ -93,7 +93,8 @@ func BenchmarkMinibatch(b *testing.B) {
 			return m, tensor.NewAdam(0.01, m.Params())
 		}
 
-		// Fresh: every stage allocates its outputs, the pre-pooling path.
+		// Fresh: every stage runs on brand-new buffers — a new sample,
+		// Compact, gather matrix, label slice and workspace per call.
 		freshS, freshB, freshO := func() (float64, float64, float64) {
 			model, opt := newModel()
 			a := sampling.CloneAlgorithm(alg)
@@ -102,13 +103,14 @@ func BenchmarkMinibatch(b *testing.B) {
 			run := func() {
 				s := a.Sample(d.Graph, batches[i%len(batches)], r)
 				i++
-				g, err := nn.NewCompact(s)
-				if err != nil {
+				g := &nn.Compact{}
+				if err := nn.NewCompactInto(g, s); err != nil {
 					b.Fatal(err)
 				}
-				feats, _, _ := store.Gather(s)
-				labels := nn.SeedLabels(s, d.Labels)
-				if _, _, err := model.LossAndGrad(g, feats, labels); err != nil {
+				feats := &tensor.Matrix{}
+				store.GatherInto(feats, s)
+				labels := nn.SeedLabelsInto(nil, s, d.Labels)
+				if _, _, err := model.LossAndGradWS(nn.NewWorkspace(), g, feats, labels); err != nil {
 					b.Fatal(err)
 				}
 				opt.Step()

@@ -282,6 +282,6 @@ type TrainResult = train.Result
 // accuracy) on a labelled dataset, e.g. the DatasetConv preset.
 func Train(d *Dataset, opts TrainOptions) (*TrainResult, error) { return train.Train(d, opts) }
 
-// Model is a trained GNN model: run predictions with Predict, persist with
-// SaveCheckpoint / LoadCheckpoint.
+// Model is a trained GNN model: persist it with SaveCheckpoint /
+// LoadCheckpoint. TrainResult.FinalAccuracy reports its held-out accuracy.
 type Model = nn.Model

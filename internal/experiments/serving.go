@@ -24,18 +24,17 @@ import (
 // the table is bit-identical across hosts and worker counts.
 func Serving(o Options) (*Table, error) {
 	o = o.withDefaults()
+	// Splits need at least one Sampler and one Trainer; the table covers
+	// the paper's 4-GPU splits at most.
+	if o.NumGPUs < 2 {
+		return nil, fmt.Errorf("serving: need at least 2 GPUs for a Sampler/Trainer split, got %d", o.NumGPUs)
+	}
 	d, err := o.load(gen.PresetPA)
 	if err != nil {
 		return nil, err
 	}
 	w := o.spec(workload.GCN)
-	gpus := o.NumGPUs
-	if gpus > 4 {
-		gpus = 4
-	}
-	if gpus < 2 {
-		gpus = 2
-	}
+	gpus := min(o.NumGPUs, 4)
 	splits := make([]int, 0, gpus-1)
 	for ns := 1; ns < gpus; ns++ {
 		splits = append(splits, ns)
@@ -151,6 +150,9 @@ func Serving(o Options) (*Table, error) {
 			"max = highest rate with shed <= 1% and p99 within deadline; fault row injects trainer crashes + PCIe degrade at 80% load",
 			"p50/p99 in milliseconds; simulation downstream of measured costs, bit-identical at any worker count",
 		},
+	}
+	if gpus < o.NumGPUs {
+		t.Notes = append(t.Notes, fmt.Sprintf("ran on %d of the %d GPUs requested", gpus, o.NumGPUs))
 	}
 	for _, c := range cells {
 		for _, row := range c.rows {

@@ -44,20 +44,12 @@ type Compact struct {
 	dedup  stampTable
 }
 
-// NewCompact converts a sample into compact form. It returns an error when
-// the sample's layer structure is inconsistent.
-func NewCompact(s *sampling.Sample) (*Compact, error) {
-	c := &Compact{}
-	if err := NewCompactInto(c, s); err != nil {
-		return nil, err
-	}
-	return c, nil
-}
-
-// NewCompactInto rebuilds c from s, reusing c's slices and dedup table.
-// The result is identical to NewCompact's; in steady state (shapes no
-// larger than a previous call's) it performs zero heap allocations. The
-// rebuilt Compact is valid until the next NewCompactInto on the same c.
+// NewCompactInto rebuilds c from s, reusing c's slices and dedup table;
+// a zero Compact is ready to use. It returns an error when the sample's
+// layer structure is inconsistent. The result does not depend on what c
+// held before; in steady state (shapes no larger than a previous call's)
+// it performs zero heap allocations. The rebuilt Compact is valid until
+// the next NewCompactInto on the same c.
 func NewCompactInto(c *Compact, s *sampling.Sample) error {
 	if err := c.validateSample(s); err != nil {
 		return err

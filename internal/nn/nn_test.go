@@ -40,13 +40,26 @@ func sampleFor(t *testing.T, g *graph.CSR, seeds []int32, fanouts []int) *sampli
 	return s
 }
 
+// compactOf builds s's Compact in a new Compact.
+func compactOf(t *testing.T, s *sampling.Sample) *Compact {
+	t.Helper()
+	c := &Compact{}
+	if err := NewCompactInto(c, s); err != nil {
+		t.Fatal(err)
+	}
+	return c
+}
+
+// forwardFresh runs m in a brand-new workspace, so the logits and
+// contexts it returns stay valid for as long as the caller holds them.
+func forwardFresh(m *Model, c *Compact, feats *tensor.Matrix) (*tensor.Matrix, []any, error) {
+	return m.ForwardWS(NewWorkspace(), c, feats)
+}
+
 func TestCompactStructure(t *testing.T) {
 	g := testGraph(1, 100, 5)
 	s := sampleFor(t, g, []int32{3, 9}, []int{3, 2})
-	c, err := NewCompact(s)
-	if err != nil {
-		t.Fatal(err)
-	}
+	c := compactOf(t, s)
 	if err := c.Validate(); err != nil {
 		t.Fatal(err)
 	}
@@ -84,8 +97,8 @@ func TestCompactStructure(t *testing.T) {
 
 func TestCompactRejectsBadSample(t *testing.T) {
 	s := &sampling.Sample{Seeds: []int32{1}, Input: []int32{2}} // input[0] != seed
-	if _, err := NewCompact(s); err == nil {
-		t.Error("NewCompact accepted inconsistent sample")
+	if err := NewCompactInto(&Compact{}, s); err == nil {
+		t.Error("NewCompactInto accepted inconsistent sample")
 	}
 }
 
@@ -95,10 +108,7 @@ func numericalGradCheck(t *testing.T, kind workload.ModelKind, layers int) {
 	t.Helper()
 	g := testGraph(2, 60, 4)
 	s := sampleFor(t, g, []int32{1, 2, 3}, fanoutsFor(layers))
-	c, err := NewCompact(s)
-	if err != nil {
-		t.Fatal(err)
-	}
+	c := compactOf(t, s)
 	const dim, hidden, classes = 5, 6, 3
 	model := NewModel(kind, layers, dim, hidden, classes, 99)
 	r := rng.New(3)
@@ -109,7 +119,7 @@ func numericalGradCheck(t *testing.T, kind workload.ModelKind, layers int) {
 	labels := []int32{0, 1, 2}
 
 	lossAt := func() float64 {
-		logits, _, err := model.Forward(c, feats)
+		logits, _, err := forwardFresh(model, c, feats)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -118,7 +128,7 @@ func numericalGradCheck(t *testing.T, kind workload.ModelKind, layers int) {
 		return loss
 	}
 
-	if _, _, err := model.LossAndGrad(c, feats, labels); err != nil {
+	if _, _, err := model.LossAndGradWS(NewWorkspace(), c, feats, labels); err != nil {
 		t.Fatal(err)
 	}
 	const eps = 1e-2
@@ -162,26 +172,26 @@ func TestPinSAGEGradients(t *testing.T)   { numericalGradCheck(t, workload.PinSA
 func TestForwardShapeChecks(t *testing.T) {
 	g := testGraph(4, 50, 4)
 	s := sampleFor(t, g, []int32{1}, []int{2, 2})
-	c, _ := NewCompact(s)
+	c := compactOf(t, s)
 	model := NewModel(workload.GCN, 3, 4, 8, 2, 1) // 3 layers vs 2-hop sample
 	feats := tensor.New(c.NumVertices, 4)
-	if _, _, err := model.Forward(c, feats); err == nil {
-		t.Error("Forward accepted mismatched hop/layer counts")
+	if _, _, err := forwardFresh(model, c, feats); err == nil {
+		t.Error("ForwardWS accepted mismatched hop/layer counts")
 	}
 	model = NewModel(workload.GCN, 2, 4, 8, 2, 1)
 	bad := tensor.New(c.NumVertices+1, 4)
-	if _, _, err := model.Forward(c, bad); err == nil {
-		t.Error("Forward accepted wrong feature row count")
+	if _, _, err := forwardFresh(model, c, bad); err == nil {
+		t.Error("ForwardWS accepted wrong feature row count")
 	}
 }
 
 func TestLogitsShape(t *testing.T) {
 	g := testGraph(5, 80, 5)
 	s := sampleFor(t, g, []int32{1, 2, 3, 4}, []int{3, 2})
-	c, _ := NewCompact(s)
+	c := compactOf(t, s)
 	model := NewModel(workload.GraphSAGE, 2, 6, 8, 5, 2)
 	feats := tensor.New(c.NumVertices, 6)
-	logits, ctxs, err := model.Forward(c, feats)
+	logits, ctxs, err := forwardFresh(model, c, feats)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,36 +206,38 @@ func TestLogitsShape(t *testing.T) {
 func TestPredictCounts(t *testing.T) {
 	g := testGraph(6, 80, 5)
 	s := sampleFor(t, g, []int32{1, 2}, []int{2})
-	c, _ := NewCompact(s)
+	c := compactOf(t, s)
 	model := NewModel(workload.GCN, 1, 4, 4, 2, 3)
 	feats := tensor.New(c.NumVertices, 4)
 	for i := range feats.Data {
 		feats.Data[i] = 0.1
 	}
-	correct, err := model.Predict(c, feats, []int32{0, 0})
+	correct, err := model.PredictWS(NewWorkspace(), c, feats, []int32{0, 0})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if correct < 0 || correct > 2 {
-		t.Errorf("Predict = %d out of range", correct)
+		t.Errorf("PredictWS = %d out of range", correct)
 	}
 }
 
 // TestClassifyWSMatchesPredict cross-checks the serving classifier
 // against PredictWS: feeding ClassifyWS's own predictions back to
 // PredictWS as labels must count every seed correct, and the dst buffer
-// must be reused when capacity allows.
+// must be reused when capacity allows. One workspace reused across
+// batches of different shapes must classify exactly as a brand-new
+// workspace per pass.
 func TestClassifyWSMatchesPredict(t *testing.T) {
 	g := testGraph(6, 80, 5)
 	s := sampleFor(t, g, []int32{1, 2, 7}, []int{3, 2})
-	c, _ := NewCompact(s)
+	c := compactOf(t, s)
 	model := NewModel(workload.GraphSAGE, 2, 4, 8, 3, 3)
 	feats := tensor.New(c.NumVertices, 4)
 	for i := range feats.Data {
 		feats.Data[i] = float32(i%7) * 0.1
 	}
 	buf := make([]int32, 0, 8)
-	classes, err := model.ClassifyWS(nil, c, feats, buf)
+	classes, err := model.ClassifyWS(NewWorkspace(), c, feats, buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -240,38 +252,44 @@ func TestClassifyWSMatchesPredict(t *testing.T) {
 			t.Errorf("class[%d] = %d outside [0,3)", i, cl)
 		}
 	}
-	correct, err := model.Predict(c, feats, classes)
+	correct, err := model.PredictWS(NewWorkspace(), c, feats, classes)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if correct != 3 {
 		t.Errorf("PredictWS agrees on %d/3 argmaxes", correct)
 	}
-}
 
-func TestGatherFeaturesAndSeedLabels(t *testing.T) {
-	g := testGraph(7, 20, 3)
-	s := sampleFor(t, g, []int32{5}, []int{2})
-	const dim = 3
-	features := make([]float32, 20*dim)
-	for v := 0; v < 20; v++ {
-		for j := 0; j < dim; j++ {
-			features[v*dim+j] = float32(v*100 + j)
+	ws := NewWorkspace()
+	var cmp Compact
+	var pooled []int32
+	for _, seeds := range [][]int32{{1, 2, 7}, {4, 5, 6, 8, 9, 10}, {11}, {1, 2, 7}} {
+		s := sampleFor(t, g, seeds, []int{3, 2})
+		if err := NewCompactInto(&cmp, s); err != nil {
+			t.Fatal(err)
 		}
-	}
-	m := GatherFeatures(s, features, dim)
-	for local, global := range s.Input {
-		for j := 0; j < dim; j++ {
-			if m.At(local, j) != float32(int(global)*100+j) {
-				t.Fatalf("gathered feature (%d,%d) wrong", local, j)
+		feats := tensor.New(cmp.NumVertices, 4)
+		for i := range feats.Data {
+			feats.Data[i] = float32(i%11) * 0.1
+		}
+		want, err := model.ClassifyWS(NewWorkspace(), compactOf(t, s), feats, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if pooled, err = model.ClassifyWS(ws, &cmp, feats, pooled); err != nil {
+			t.Fatal(err)
+		}
+		if len(pooled) != len(want) {
+			t.Fatalf("seeds %v: %d pooled classes, want %d", seeds, len(pooled), len(want))
+		}
+		for i := range want {
+			if pooled[i] != want[i] {
+				t.Errorf("seeds %v: seed %d pooled class %d, fresh %d", seeds, i, pooled[i], want[i])
 			}
 		}
-	}
-	labels := make([]int32, 20)
-	labels[5] = 9
-	got := SeedLabels(s, labels)
-	if len(got) != 1 || got[0] != 9 {
-		t.Errorf("SeedLabels = %v", got)
+		if correct, err := model.PredictWS(ws, &cmp, feats, want); err != nil || correct != len(want) {
+			t.Errorf("seeds %v: pooled PredictWS agrees on %d/%d (err %v)", seeds, correct, len(want), err)
+		}
 	}
 }
 
@@ -280,7 +298,7 @@ func TestGatherFeaturesAndSeedLabels(t *testing.T) {
 func TestTrainingReducesLoss(t *testing.T) {
 	g := testGraph(8, 100, 5)
 	s := sampleFor(t, g, []int32{1, 2, 3, 4, 5}, []int{3, 3})
-	c, _ := NewCompact(s)
+	c := compactOf(t, s)
 	const dim = 8
 	model := NewModel(workload.GCN, 2, dim, 16, 3, 5)
 	opt := tensor.NewAdam(0.05, model.Params())
@@ -290,14 +308,15 @@ func TestTrainingReducesLoss(t *testing.T) {
 		feats.Data[i] = float32(r.NormFloat64())
 	}
 	labels := []int32{0, 1, 2, 0, 1}
-	first, _, err := model.LossAndGrad(c, feats, labels)
+	ws := NewWorkspace()
+	first, _, err := model.LossAndGradWS(ws, c, feats, labels)
 	if err != nil {
 		t.Fatal(err)
 	}
 	opt.Step()
 	var last float64
 	for i := 0; i < 50; i++ {
-		last, _, err = model.LossAndGrad(c, feats, labels)
+		last, _, err = model.LossAndGradWS(ws, c, feats, labels)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -321,7 +340,7 @@ func TestGATGradients(t *testing.T) { numericalGradCheck(t, workload.GAT, 2) }
 func TestGATTrainsOnTinyTask(t *testing.T) {
 	g := testGraph(12, 100, 5)
 	s := sampleFor(t, g, []int32{1, 2, 3, 4}, []int{3, 3})
-	c, _ := NewCompact(s)
+	c := compactOf(t, s)
 	const dim = 6
 	model := NewModel(workload.GAT, 2, dim, 12, 3, 7)
 	opt := tensor.NewAdam(0.03, model.Params())
@@ -331,14 +350,15 @@ func TestGATTrainsOnTinyTask(t *testing.T) {
 		feats.Data[i] = float32(r.NormFloat64())
 	}
 	labels := []int32{0, 1, 2, 0}
-	first, _, err := model.LossAndGrad(c, feats, labels)
+	ws := NewWorkspace()
+	first, _, err := model.LossAndGradWS(ws, c, feats, labels)
 	if err != nil {
 		t.Fatal(err)
 	}
 	opt.Step()
 	var last float64
 	for i := 0; i < 60; i++ {
-		last, _, err = model.LossAndGrad(c, feats, labels)
+		last, _, err = model.LossAndGradWS(ws, c, feats, labels)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -352,14 +372,14 @@ func TestGATTrainsOnTinyTask(t *testing.T) {
 func TestGATAttentionSumsToOne(t *testing.T) {
 	g := testGraph(14, 60, 4)
 	s := sampleFor(t, g, []int32{1, 2}, []int{3})
-	c, _ := NewCompact(s)
+	c := compactOf(t, s)
 	layer := NewGAT(5, 7, false, rng.New(15))
 	feats := tensor.New(c.NumVertices, 5)
 	for i := range feats.Data {
 		feats.Data[i] = float32(i%7) * 0.1
 	}
-	_, ctx := layer.Forward(c, feats, 2)
-	for t2, alpha := range ctx.heads[0].alphas {
+	_, ctx := layer.ForwardLayer(NewWorkspace(), c, feats, 2)
+	for t2, alpha := range ctx.(*gatCtx).heads[0].alphas {
 		var sum float32
 		for _, a := range alpha {
 			sum += a
@@ -373,7 +393,7 @@ func TestGATAttentionSumsToOne(t *testing.T) {
 func TestCheckpointRoundTrip(t *testing.T) {
 	g := testGraph(20, 80, 5)
 	s := sampleFor(t, g, []int32{1, 2}, []int{3, 2})
-	c, _ := NewCompact(s)
+	c := compactOf(t, s)
 	const dim = 6
 	src := NewModel(workload.GraphSAGE, 2, dim, 8, 3, 11)
 	dst := NewModel(workload.GraphSAGE, 2, dim, 8, 3, 99) // different init
@@ -389,11 +409,11 @@ func TestCheckpointRoundTrip(t *testing.T) {
 	if err := dst.LoadCheckpoint(&buf); err != nil {
 		t.Fatal(err)
 	}
-	a, _, err := src.Forward(c, feats)
+	a, _, err := forwardFresh(src, c, feats)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, _, err := dst.Forward(c, feats)
+	b, _, err := forwardFresh(dst, c, feats)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -455,10 +475,7 @@ func TestCopyAndAccumulate(t *testing.T) {
 func TestGATMultiHeadGradients(t *testing.T) {
 	g := testGraph(2, 60, 4)
 	s := sampleFor(t, g, []int32{1, 2, 3}, fanoutsFor(2))
-	c, err := NewCompact(s)
-	if err != nil {
-		t.Fatal(err)
-	}
+	c := compactOf(t, s)
 	const dim, hidden, classes = 5, 6, 3
 	model := &Model{Kind: workload.GAT}
 	r := rng.New(77)
@@ -472,7 +489,7 @@ func TestGATMultiHeadGradients(t *testing.T) {
 	}
 	labels := []int32{0, 1, 2}
 	lossAt := func() float64 {
-		logits, _, err := model.Forward(c, feats)
+		logits, _, err := forwardFresh(model, c, feats)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -480,7 +497,7 @@ func TestGATMultiHeadGradients(t *testing.T) {
 		loss, _ := tensor.SoftmaxCrossEntropy(logits, labels, grad)
 		return loss
 	}
-	if _, _, err := model.LossAndGrad(c, feats, labels); err != nil {
+	if _, _, err := model.LossAndGradWS(NewWorkspace(), c, feats, labels); err != nil {
 		t.Fatal(err)
 	}
 	const eps = 1e-2

@@ -17,18 +17,15 @@ func modelPair(kind workload.ModelKind, layers, dim, hidden, classes int) (*Mode
 }
 
 // TestNewCompactIntoMatchesNewCompact checks that a reused Compact is
-// field-for-field identical to a fresh one across samples of different
-// shapes, including shrinking ones.
+// field-for-field identical to a new one built from the same sample,
+// across samples of different shapes, including shrinking ones.
 func TestNewCompactIntoMatchesNewCompact(t *testing.T) {
 	g := testGraph(21, 200, 6)
 	seedSets := [][]int32{{1, 2, 3, 4, 5, 6}, {7}, {9, 11, 13}, {1, 2, 3, 4, 5, 6, 8, 10}}
 	var reused Compact
 	for _, seeds := range seedSets {
 		s := sampleFor(t, g, seeds, []int{4, 3})
-		fresh, err := NewCompact(s)
-		if err != nil {
-			t.Fatal(err)
-		}
+		fresh := compactOf(t, s)
 		if err := NewCompactInto(&reused, s); err != nil {
 			t.Fatal(err)
 		}
@@ -80,13 +77,20 @@ func TestSeedLabelsIntoReusesBuffer(t *testing.T) {
 	if &got[0] != &buf[:1][0] {
 		t.Error("SeedLabelsInto reallocated despite sufficient capacity")
 	}
+	// A nil or too-small destination is grown.
+	if got := SeedLabelsInto(nil, s, labels); len(got) != 2 || got[0] != 13 || got[1] != 11 {
+		t.Errorf("SeedLabelsInto(nil) = %v", got)
+	}
+	if got := SeedLabelsInto(make([]int32, 0, 1), s, labels); len(got) != 2 || got[0] != 13 || got[1] != 11 {
+		t.Errorf("SeedLabelsInto(short) = %v", got)
+	}
 }
 
 // TestModelWorkspaceMatchesFresh trains two identically-seeded models —
-// one through LossAndGrad (fresh allocations), one through LossAndGradWS
-// (pooled workspace) — over a stream of varying batches with optimizer
-// steps in between, and requires bit-identical losses, correct-counts
-// and parameter values throughout. This is the layer-level contract the
+// one with a brand-new Compact and workspace every pass, one reusing a
+// single Compact and workspace — over a stream of varying batches with
+// optimizer steps in between, and requires bit-identical losses,
+// correct-counts and parameter values throughout. This is the layer-level contract the
 // train package's TestTrainPooledMatchesFresh builds on.
 func TestModelWorkspaceMatchesFresh(t *testing.T) {
 	g := testGraph(31, 150, 5)
@@ -109,10 +113,7 @@ func TestModelWorkspaceMatchesFresh(t *testing.T) {
 		var cmp Compact
 		for round, seeds := range seedSets {
 			s := sampleFor(t, g, seeds, fanoutsFor(k.layers))
-			cf, err := NewCompact(s)
-			if err != nil {
-				t.Fatal(err)
-			}
+			cf := compactOf(t, s)
 			if err := NewCompactInto(&cmp, s); err != nil {
 				t.Fatal(err)
 			}
@@ -125,7 +126,7 @@ func TestModelWorkspaceMatchesFresh(t *testing.T) {
 			for i := range labels {
 				labels[i] = int32(i % classes)
 			}
-			lf, cfr, err := fresh.LossAndGrad(cf, feats, labels)
+			lf, cfr, err := fresh.LossAndGradWS(NewWorkspace(), cf, feats, labels)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -148,8 +149,8 @@ func TestModelWorkspaceMatchesFresh(t *testing.T) {
 					}
 				}
 			}
-			// Predictions agree too (exercises PredictWS).
-			pf, err := fresh.Predict(cf, feats, labels)
+			// Predictions agree too.
+			pf, err := fresh.PredictWS(NewWorkspace(), cf, feats, labels)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -158,7 +159,7 @@ func TestModelWorkspaceMatchesFresh(t *testing.T) {
 				t.Fatal(err)
 			}
 			if pf != pp {
-				t.Fatalf("%v round %d: Predict %d != PredictWS %d", k.kind, round, pf, pp)
+				t.Fatalf("%v round %d: fresh PredictWS %d != pooled %d", k.kind, round, pf, pp)
 			}
 		}
 	}

@@ -123,8 +123,10 @@ func TestServeDeterministic(t *testing.T) {
 }
 
 // TestServeMatchesDirectPath is the differential test: the microbatched
-// server must produce exactly the classes a hand-run of the pooled
-// sample→compact→gather→classify pipeline produces on the same seeds.
+// server, reusing one workspace across batches of different shapes, must
+// produce exactly the classes a hand-run of the sample→compact→gather→
+// classify pipeline produces on the same seeds with a brand-new Compact,
+// feature matrix and workspace per batch.
 func TestServeMatchesDirectPath(t *testing.T) {
 	d := dataset(t)
 	spec := testSpec()
@@ -132,40 +134,41 @@ func TestServeMatchesDirectPath(t *testing.T) {
 	clk := &fakeClock{}
 	s := newServer(t, Options{Spec: spec, Model: model, Seed: 5, Now: clk.now})
 
-	seeds := []int32{3, 99, 505, 7000, 11999}
-	var tickets []*Ticket
-	for _, v := range seeds {
-		tk, out := s.Submit(v)
-		if out != Admitted {
-			t.Fatalf("submit %d: %v", v, out)
-		}
-		tickets = append(tickets, tk)
-	}
-	if _, _, err := s.Step(); err != nil {
-		t.Fatal(err)
-	}
-
 	// Replicate the server's exact pipeline: same prepared algorithm,
 	// same pooled clone, same seed-keyed RNG stream, same model.
 	alg := spec.NewSampler()
 	sampling.Prepare(alg, d.Graph)
 	a := sampling.ClonePooled(alg)
 	r := rng.New(uint64(5) ^ 0x5E12F)
-	smp := a.Sample(d.Graph, seeds, r)
-	g, err := nn.NewCompact(smp)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var feats tensor.Matrix
-	store := s.store
-	store.GatherInto(&feats, smp)
-	want, err := model.ClassifyWS(nil, g, &feats, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, tk := range tickets {
-		if tk.Class != want[i] {
-			t.Errorf("seed %d: server class %d, direct path %d", seeds[i], tk.Class, want[i])
+	for _, seeds := range [][]int32{{3, 99, 505, 7000, 11999}, {42}, {1, 2, 3, 4, 5, 6, 7, 8}, {11999, 3}} {
+		var tickets []*Ticket
+		for _, v := range seeds {
+			tk, out := s.Submit(v)
+			if out != Admitted {
+				t.Fatalf("submit %d: %v", v, out)
+			}
+			tickets = append(tickets, tk)
+		}
+		if _, _, err := s.Step(); err != nil {
+			t.Fatal(err)
+		}
+
+		smp := a.Sample(d.Graph, seeds, r)
+		var g nn.Compact
+		if err := nn.NewCompactInto(&g, smp); err != nil {
+			t.Fatal(err)
+		}
+		var feats tensor.Matrix
+		s.store.GatherInto(&feats, smp)
+		want, err := model.ClassifyWS(nn.NewWorkspace(), &g, &feats, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, tk := range tickets {
+			if !tk.Done || tk.Class != want[i] {
+				t.Errorf("seeds %v: seed %d server class %d (done %v), direct path %d",
+					seeds, seeds[i], tk.Class, tk.Done, want[i])
+			}
 		}
 	}
 }

@@ -17,9 +17,10 @@ import (
 
 // TestTrainPooledMatchesFresh is the end-to-end bit-identicality contract
 // of the pooled training path: for every data-parallel width and cache
-// configuration, a run with pooled minibatch workspaces produces exactly
-// the loss history, accuracy trajectory, hit rate and final parameters of
-// a run with fresh allocations.
+// configuration, a run reusing each trainer's minibatch scratch produces
+// exactly the loss history, accuracy trajectory, hit rate and final
+// parameters of a run that hands every minibatch and evaluation batch a
+// brand-new scratch (the freshScratch hook).
 func TestTrainPooledMatchesFresh(t *testing.T) {
 	d := convDataset(t)
 	cases := []struct {
@@ -49,10 +50,16 @@ func TestTrainPooledMatchesFresh(t *testing.T) {
 				EvalSize:       200,
 			}
 			fresh := base
-			fresh.FreshBuffers = true
+			fresh.freshScratch = true
+			recF := obs.NewRecorder()
+			fresh.Obs = recF
 			resF, err := Train(d, fresh)
 			if err != nil {
 				t.Fatal(err)
+			}
+			// The reference never touches the pooled scratches.
+			if n := recF.Registry().Snapshot().Counters["train.scratch_samples"]; n != 0 {
+				t.Errorf("fresh-scratch run used the pooled scratches for %d minibatches", n)
 			}
 			pooled := base
 			rec := obs.NewRecorder()

@@ -9,6 +9,7 @@ package train
 import (
 	"errors"
 	"fmt"
+	"math"
 	"sync"
 
 	"gnnlab/internal/cache"
@@ -55,12 +56,6 @@ type Options struct {
 	// optimizer lanes) and training counters. Spans only observe: the
 	// trained model and history are identical with or without it.
 	Obs *obs.Recorder
-	// FreshBuffers disables the pooled per-trainer minibatch workspaces
-	// and allocates every buffer fresh — the pre-pooling behavior. The
-	// trained model and history are bit-identical either way
-	// (TestTrainPooledMatchesFresh); the flag exists for differential
-	// testing and as an escape hatch.
-	FreshBuffers bool
 	// Faults injects the plan's trainer-crash events into the live run:
 	// each crash event scheduled for epoch e aborts that epoch mid-way
 	// (discarding its partial updates) and restores the per-epoch
@@ -70,6 +65,51 @@ type Options struct {
 	// horizons do not translate to live rounds). Non-crash event kinds
 	// are ignored here — they only shape the simulated runtime.
 	Faults *fault.Plan
+
+	// freshScratch hands every minibatch and evaluation batch a brand-new
+	// minibatchScratch instead of the trainer's pooled one: the same code
+	// on empty buffers, the reference of TestTrainPooledMatchesFresh.
+	freshScratch bool
+}
+
+// scratch returns the buffers for one minibatch: pooled, unless the
+// freshScratch test hook asks for a brand-new set.
+func (o Options) scratch(pooled *minibatchScratch) *minibatchScratch {
+	if o.freshScratch {
+		return newMinibatchScratch()
+	}
+	return pooled
+}
+
+// validate rejects out-of-range options (after withDefaults has filled
+// the zero values), so a bad value fails loudly instead of panicking deep
+// in a slice allocation or being silently reinterpreted.
+func (o Options) validate() error {
+	for _, f := range []struct {
+		name string
+		v    int
+	}{
+		{"HiddenDim", o.HiddenDim},
+		{"BatchSize", o.BatchSize},
+		{"NumTrainers", o.NumTrainers},
+		{"NumSamplers", o.NumSamplers},
+		{"MaxEpochs", o.MaxEpochs},
+		{"EvalSize", o.EvalSize},
+	} {
+		if f.v < 0 {
+			return fmt.Errorf("train: %s %d is negative", f.name, f.v)
+		}
+	}
+	if math.IsNaN(o.LR) || math.IsInf(o.LR, 0) || o.LR < 0 {
+		return fmt.Errorf("train: LR %v is not a finite non-negative number", o.LR)
+	}
+	if math.IsNaN(o.TargetAccuracy) {
+		return fmt.Errorf("train: TargetAccuracy is NaN")
+	}
+	if math.IsNaN(o.CacheRatio) || o.CacheRatio < 0 || o.CacheRatio > 1 {
+		return fmt.Errorf("train: CacheRatio %v outside [0, 1]", o.CacheRatio)
+	}
+	return nil
 }
 
 func (o Options) withDefaults() Options {
@@ -122,7 +162,7 @@ type Result struct {
 	// gathers (0 when no cache was enabled).
 	CacheHitRate float64
 	// Model is the trained model (checkpoint with Model.SaveCheckpoint,
-	// or keep predicting with Model.Predict).
+	// or keep predicting with Model.PredictWS / Model.ClassifyWS).
 	Model *nn.Model
 	// Recoveries counts injected crashes the run recovered from by
 	// restoring the per-epoch checkpoint.
@@ -133,6 +173,9 @@ type Result struct {
 // accuracy target or MaxEpochs.
 func Train(d *gen.Dataset, opts Options) (*Result, error) {
 	opts = opts.withDefaults()
+	if err := opts.validate(); err != nil {
+		return nil, err
+	}
 	if d.Labels == nil || d.Features == nil {
 		return nil, fmt.Errorf("train: dataset %s has no labels/features (use a KindCommunity preset)", d.Name)
 	}
@@ -168,12 +211,9 @@ func Train(d *gen.Dataset, opts Options) (*Result, error) {
 	// One pooled workspace per trainer (plus reuse for evaluation): the
 	// scratch buffers live for the whole run, so steady-state minibatches
 	// allocate nothing from the Sample handoff to the optimizer step.
-	var scratches []*minibatchScratch
-	if !opts.FreshBuffers {
-		scratches = make([]*minibatchScratch, opts.NumTrainers)
-		for i := range scratches {
-			scratches[i] = newMinibatchScratch()
-		}
+	scratches := make([]*minibatchScratch, opts.NumTrainers)
+	for i := range scratches {
+		scratches[i] = newMinibatchScratch()
 	}
 
 	res := &Result{Model: model}
@@ -226,14 +266,9 @@ func Train(d *gen.Dataset, opts Options) (*Result, error) {
 			break
 		}
 
-		var err error
-		var evalScratch *minibatchScratch
-		if len(scratches) > 0 {
-			// The round's workers are quiesced here, so evaluation can
-			// borrow trainer 0's scratch.
-			evalScratch = scratches[0]
-		}
-		acc, err = evaluate(model, d, store, alg, evalSet, opts, evalScratch)
+		// The round's workers are quiesced here, so evaluation can
+		// borrow trainer 0's scratch.
+		acc, err := evaluate(model, d, store, alg, evalSet, opts, scratches[0])
 		if err != nil {
 			return nil, err
 		}
@@ -439,67 +474,36 @@ func runEpochSteps(model *nn.Model, replicas []*nn.Model, opt *tensor.Adam, stor
 		var wg sync.WaitGroup
 		for i, s := range round {
 			wg.Add(1)
-			var sc *minibatchScratch
-			if scratches != nil {
-				sc = scratches[i]
-			}
 			go func(i int, s *sampling.Sample, m *nn.Model, sc *minibatchScratch) {
 				defer wg.Done()
 				var sp *obs.Span
 				if trainerLanes != nil {
 					sp = trainerLanes[i].Start("minibatch")
 				}
-				var g *nn.Compact
-				if sc != nil {
-					if errs[i] = nn.NewCompactInto(&sc.compact, s); errs[i] != nil {
-						return
-					}
-					g = &sc.compact
-				} else {
-					var err error
-					if g, err = nn.NewCompact(s); err != nil {
-						errs[i] = err
-						return
-					}
+				if errs[i] = nn.NewCompactInto(&sc.compact, s); errs[i] != nil {
+					return
 				}
 				gsp := sp.Child("gather")
-				var feats *tensor.Matrix
-				var hits, misses int
-				if sc != nil {
-					hits, misses = store.GatherInto(&sc.feats, s)
-					feats = &sc.feats
-				} else {
-					feats, hits, misses = store.Gather(s)
-				}
+				hits, misses := store.GatherInto(&sc.feats, s)
 				if gsp != nil {
 					gsp.End(obs.Attr{Key: "hits", Value: hits}, obs.Attr{Key: "misses", Value: misses})
 				}
 				cHits.Add(int64(hits))
 				cMisses.Add(int64(misses))
-				var labels []int32
-				if sc != nil {
-					sc.labels = nn.SeedLabelsInto(sc.labels, s, d.Labels)
-					labels = sc.labels
-				} else {
-					labels = nn.SeedLabels(s, d.Labels)
-				}
+				sc.labels = nn.SeedLabelsInto(sc.labels, s, d.Labels)
 				fbsp := sp.Child("forward+backward")
-				if sc != nil {
-					prevGrows := sc.ws.Grows()
-					losses[i], _, errs[i] = m.LossAndGradWS(sc.ws, g, feats, labels)
-					sc.passes++
-					if sc.ws.Grows() == prevGrows {
-						sc.reuses++
-					}
-				} else {
-					losses[i], _, errs[i] = m.LossAndGrad(g, feats, labels)
+				prevGrows := sc.ws.Grows()
+				losses[i], _, errs[i] = m.LossAndGradWS(sc.ws, &sc.compact, &sc.feats, sc.labels)
+				sc.passes++
+				if sc.ws.Grows() == prevGrows {
+					sc.reuses++
 				}
 				fbsp.End()
 				if sp != nil {
 					sp.End(obs.Attr{Key: "batch", Value: start + i})
 				}
 				cBatches.Add(1)
-			}(i, s, workers[i], sc)
+			}(i, s, workers[i], opts.scratch(scratches[i]))
 		}
 		wg.Wait()
 		for i := range round {
@@ -781,9 +785,9 @@ func holdout(d *gen.Dataset, size int, seed uint64) []int32 {
 }
 
 // evaluate samples the eval set once (fixed seed, so the eval graph view is
-// stable across epochs) and returns accuracy. A non-nil scratch runs the
-// whole gather+predict path in pooled buffers (sc must not be in use by a
-// trainer goroutine); nil allocates fresh.
+// stable across epochs) and returns accuracy. The whole gather+predict
+// path runs in sc's buffers (sc must not be in use by a trainer
+// goroutine).
 func evaluate(model *nn.Model, d *gen.Dataset, store *feature.Store, alg sampling.Algorithm, evalSet []int32, opts Options, sc *minibatchScratch) (float64, error) {
 	if len(evalSet) == 0 {
 		return 0, nil
@@ -797,33 +801,18 @@ func evaluate(model *nn.Model, d *gen.Dataset, store *feature.Store, alg samplin
 			end = len(evalSet)
 		}
 		s := a.Sample(d.Graph, evalSet[start:end], er)
-		var c int
-		if sc != nil {
-			if err := nn.NewCompactInto(&sc.compact, s); err != nil {
-				return 0, err
-			}
-			store.GatherInto(&sc.feats, s)
-			sc.labels = nn.SeedLabelsInto(sc.labels, s, d.Labels)
-			var err error
-			c, err = model.PredictWS(sc.ws, &sc.compact, &sc.feats, sc.labels)
-			if err != nil {
-				return 0, err
-			}
-			total += len(sc.labels)
-		} else {
-			g, err := nn.NewCompact(s)
-			if err != nil {
-				return 0, err
-			}
-			feats, _, _ := store.Gather(s)
-			labels := nn.SeedLabels(s, d.Labels)
-			c, err = model.Predict(g, feats, labels)
-			if err != nil {
-				return 0, err
-			}
-			total += len(labels)
+		mb := opts.scratch(sc)
+		if err := nn.NewCompactInto(&mb.compact, s); err != nil {
+			return 0, err
+		}
+		store.GatherInto(&mb.feats, s)
+		mb.labels = nn.SeedLabelsInto(mb.labels, s, d.Labels)
+		c, err := model.PredictWS(mb.ws, &mb.compact, &mb.feats, mb.labels)
+		if err != nil {
+			return 0, err
 		}
 		correct += c
+		total += len(mb.labels)
 	}
 	return float64(correct) / float64(total), nil
 }

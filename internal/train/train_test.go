@@ -1,6 +1,8 @@
 package train
 
 import (
+	"math"
+	"strings"
 	"testing"
 
 	"gnnlab/internal/gen"
@@ -70,5 +72,40 @@ func TestTrainMoreTrainersFewerUpdates(t *testing.T) {
 	t.Logf("updates per epoch: 1 trainer %d, 4 trainers %d", u1, u4)
 	if u4*2 >= u1 {
 		t.Errorf("4 trainers should give ~4x fewer updates per epoch: got %d vs %d", u4, u1)
+	}
+}
+
+// TestTrainRejectsOutOfRangeOptions: negative sizes and counts and
+// non-finite rates fail with an error naming the field instead of
+// panicking or being silently reinterpreted.
+func TestTrainRejectsOutOfRangeOptions(t *testing.T) {
+	d := convDataset(t)
+	cases := []struct {
+		field string
+		opts  Options
+	}{
+		{"NumTrainers", Options{NumTrainers: -1}},
+		{"NumSamplers", Options{NumSamplers: -1}},
+		{"BatchSize", Options{BatchSize: -5}},
+		{"HiddenDim", Options{HiddenDim: -8}},
+		{"MaxEpochs", Options{MaxEpochs: -1}},
+		{"EvalSize", Options{EvalSize: -100}},
+		{"LR", Options{LR: math.NaN()}},
+		{"LR", Options{LR: math.Inf(1)}},
+		{"LR", Options{LR: -0.01}},
+		{"TargetAccuracy", Options{TargetAccuracy: math.NaN()}},
+		{"CacheRatio", Options{CacheRatio: math.NaN()}},
+		{"CacheRatio", Options{CacheRatio: -0.1}},
+		{"CacheRatio", Options{CacheRatio: 1.5}},
+	}
+	for _, tc := range cases {
+		res, err := Train(d, tc.opts)
+		if err == nil {
+			t.Errorf("%+v: accepted (%d epochs)", tc.opts, len(res.History))
+			continue
+		}
+		if !strings.Contains(err.Error(), tc.field) {
+			t.Errorf("%+v: error %q does not name %s", tc.opts, err, tc.field)
+		}
 	}
 }
