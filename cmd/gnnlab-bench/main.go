@@ -4,7 +4,7 @@
 // Usage:
 //
 //	gnnlab-bench [-scale N] [-gpus N] [-epochs N] [-workers N] [-faults N] [-drift N]
-//	             [-packed] [-format table|csv] [-list] [-whatif DATASET] [-serve]
+//	             [-packed] [-format table|csv] [-list] [-serve]
 //	             [-eventlog out.jsonl] [-trace out.json] [-metrics]
 //	             [-pprof addr] [experiment ...]
 //
@@ -21,7 +21,6 @@ import (
 	"os"
 	"time"
 
-	"gnnlab"
 	"gnnlab/internal/experiments"
 	"gnnlab/internal/measure"
 	"gnnlab/internal/obs"
@@ -42,7 +41,6 @@ func main() {
 	tracePath := flag.String("trace", "", "write a Chrome/Perfetto trace-event JSON file of the run to this path")
 	metrics := flag.Bool("metrics", false, "print the observability counters (measure/cost/store) to stderr at the end")
 	pprofAddr := flag.String("pprof", "", "serve net/http/pprof and expvar on this address (e.g. :6060)")
-	whatif := flag.String("whatif", "", "trace one GNNLab epoch on this dataset preset and print its time accounting + what-if capacity estimates (skips the experiments)")
 	serve := flag.Bool("serve", false, "run only the online inference serving experiment (p50/p99 latency and max sustainable QPS per Sampler/Trainer split); shorthand for the 'serving' experiment id")
 	eventlogPath := flag.String("eventlog", "", "write a structured JSONL event log (faults, reallocations, per-run summaries) to this path")
 	flag.Parse()
@@ -83,11 +81,6 @@ func main() {
 			log.Fatal(err)
 		}
 		evFile = nil
-	}
-	if *whatif != "" {
-		runWhatIf(*whatif, *scale, *gpus, opts.Obs)
-		closeEventLog()
-		return
 	}
 	if *pprofAddr != "" {
 		ds, err := obs.ServeDebug(*pprofAddr, opts.Obs.Registry())
@@ -157,39 +150,4 @@ func main() {
 	}
 	closeEventLog()
 	os.Exit(exit)
-}
-
-// runWhatIf traces one GNNLab epoch on a dataset preset and prints the
-// exact time accounting — which role binds epoch time, and the factored
-// estimates for each ±1-GPU reallocation.
-func runWhatIf(dataset string, scale, gpus int, rec *gnnlab.Observer) {
-	d, err := gnnlab.LoadDatasetScaled(dataset, scale)
-	if err != nil {
-		log.Fatal(err)
-	}
-	w := gnnlab.NewWorkload(gnnlab.ModelGCN)
-	w.BatchSize /= scale
-	if w.BatchSize < 4 {
-		w.BatchSize = 4
-	}
-	cfg := gnnlab.NewGNNLab(w, gpus)
-	cfg.GPUMemory = gnnlab.DefaultGPUMemory / int64(scale)
-	cfg.MemScale = float64(scale)
-	cfg.Epochs = 1
-	cfg.Trace = true
-	rep, err := gnnlab.RunObserved(d, cfg, rec)
-	if err != nil {
-		log.Fatal(err)
-	}
-	if rep.OOM {
-		log.Fatalf("OOM: %s", rep.OOMReason)
-	}
-	fmt.Printf("%s\n\n", rep)
-	acct, err := gnnlab.BuildAccount(rep)
-	if err != nil {
-		log.Fatal(err)
-	}
-	if err := acct.WriteReport(os.Stdout); err != nil {
-		log.Fatal(err)
-	}
 }

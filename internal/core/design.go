@@ -132,17 +132,14 @@ func (rn runner) simulateEpoch(rep *Report, s epochSpec) float64 {
 		res := sim.Consume(s.tasks, s.opts)
 		rn.foldFaults(rep, res)
 		return sampleEnd + s.phaseGap + res.Makespan
-	case s.producers > 0:
-		res := sim.RunEpoch(s.tasks, s.producers, s.opts)
-		rep.TasksByStandby += res.TasksByStandby
-		if res.Timeline != nil {
-			rep.Timeline = res.Timeline
-			rn.accountEpoch(rep, res, s.tasks)
-		}
-		rn.foldFaults(rep, res)
-		return res.Makespan
 	default:
-		res := sim.Consume(s.tasks, s.opts)
+		var res sim.Result
+		if s.producers > 0 {
+			res = sim.RunEpoch(s.tasks, s.producers, s.opts)
+		} else { // pre-staged tasks: nothing to produce
+			res = sim.Consume(s.tasks, s.opts)
+		}
+		rep.TasksByStandby += res.TasksByStandby
 		if res.Timeline != nil {
 			rep.Timeline = res.Timeline
 			rn.accountEpoch(rep, res, s.tasks)

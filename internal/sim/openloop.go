@@ -11,10 +11,11 @@ package sim
 // projected wait already exceeds the deadline), free Samplers coalesce
 // pending requests into microbatches, and each sampled batch dispatches
 // to the earliest-available Trainer for the Extract→Forward stages.
-// Faults reuse the epoch engine's machinery verbatim: consumer crash
-// windows abort in-flight batches (which re-dispatch at the crash time),
-// ExtractDegrade stretches the host→GPU path, and QueueStalls push batch
-// pickups out of the stall window.
+// Trainers are the epoch engine's consumers, planned and run through the
+// same plan/run core as Consume, so every fault means the same thing in
+// both loops. Only the policies differ: a batch goes to the earliest
+// *extract* start, and a crash-aborted batch re-dispatches whole at the
+// crash time.
 //
 // Determinism rule: Serve is a pure function of its config — arrival
 // streams are seed-keyed, so the same seed yields a bit-identical
@@ -129,9 +130,6 @@ type ServeConfig struct {
 	Arrivals ArrivalStream
 	// Requests is how many arrivals to offer.
 	Requests int
-	// Pipelined lets a Trainer's Extract of batch k+1 overlap Forward
-	// of batch k, as in the training pipeline (§5.2).
-	Pipelined bool
 	// Faults injects the epoch engine's deterministic fault set onto
 	// the Trainers (crashes, slowdown windows, PCIe degrade, queue
 	// stalls). Nil injects nothing.
@@ -229,59 +227,32 @@ func Serve(cfg ServeConfig) ServeResult {
 	var occupancySum int
 	perBatch := cfg.Cost.batchEstimate(cfg.BatchSize, cfg.Samplers, cfg.Trainers)
 
-	// dispatch runs one sampled batch through the earliest-available
-	// Trainer's Extract→Forward stages, re-dispatching after crash
-	// aborts. earliestStart keeps post-crash starts out of the dead
-	// window, so each Trainer aborts at most one batch and the retry
-	// loop terminates.
+	// dispatch runs one sampled batch on the Trainer that could start
+	// extracting it first (ties: lowest index), retrying the whole batch
+	// at the crash time after a crash abort.
 	dispatch := func(members []int, ready Seconds) {
 		k := len(members)
+		extract, train := cfg.Cost.extract(k), cfg.Cost.train(k)
 		for {
-			best, bestStart := -1, math.Inf(1)
+			best, bestStart, bestTrain := -1, math.Inf(1), math.Inf(1)
 			for ci, c := range trainers {
-				s := c.earliestStart(ready)
-				if faults != nil {
-					s = faults.stallClamp(s)
-					if s >= c.crashAt && s < c.recoverAt {
-						s = faults.stallClamp(c.recoverAt)
-					}
-				}
-				if s < bestStart {
-					best, bestStart = ci, s
+				if s, ts := c.plan(ready, extract, faults); s < bestStart {
+					best, bestStart, bestTrain = ci, s, ts
 				}
 			}
-			if best < 0 || math.IsInf(bestStart, 1) {
+			if best < 0 {
 				panic("sim: all trainers failed with requests pending")
 			}
 			c := trainers[best]
-			extractDur := c.extractDur(cfg.Cost.extract(k), bestStart, faults)
-			extractEnd := bestStart + extractDur
-			trainStart := extractEnd
-			if c.trainFree > trainStart {
-				trainStart = c.trainFree
-			}
-			trainDur := c.trainDur(cfg.Cost.train(k), trainStart)
-			trainEnd := trainStart + trainDur
-
-			if bestStart < c.crashAt && trainEnd > c.crashAt {
-				// Crash mid-batch: occupancy up to the crash is lost and
-				// the whole batch re-dispatches at the crash time.
+			_, trainEnd, busy, aborted := c.run(bestStart, bestTrain, extract, train, faults, false)
+			res.TrainerBusy[best] += busy
+			if aborted {
 				res.Requeued++
-				res.TrainerBusy[best] += c.crashAt - bestStart
-				c.extractFree, c.trainFree = c.recoverAt, c.recoverAt
 				if ready < c.crashAt {
 					ready = c.crashAt
 				}
 				continue
 			}
-
-			if cfg.Pipelined {
-				c.extractFree = extractEnd
-			} else {
-				c.extractFree = trainEnd
-			}
-			c.trainFree = trainEnd
-			res.TrainerBusy[best] += extractDur + trainDur
 			if trainEnd > res.Makespan {
 				res.Makespan = trainEnd
 			}

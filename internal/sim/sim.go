@@ -38,9 +38,10 @@ type Task struct {
 	Producer int
 }
 
-// standbyExtract returns the effective standby extract duration.
-func (t Task) standbyExtract() Seconds {
-	if t.StandbyExtract > 0 {
+// extractOn returns the task's nominal Extract duration on consumer c:
+// StandbyExtract on a standby Trainer when set, Extract otherwise.
+func (t *Task) extractOn(c *consumer) Seconds {
+	if c.standby && t.StandbyExtract > 0 {
 		return t.StandbyExtract
 	}
 	return t.Extract
@@ -183,7 +184,6 @@ type consumer struct {
 	availableAt Seconds
 	extractFree Seconds
 	trainFree   Seconds
-	busy        Seconds
 	// slowdown scales this consumer's stage durations (factors in (0,1)
 	// are speedups; 0 treated as 1 for consumers constructed without it).
 	slowdown float64
@@ -269,6 +269,48 @@ func (c *consumer) earliestStart(ready Seconds) Seconds {
 	return s
 }
 
+// plan projects when c would start extracting and training a task ready
+// at `ready`, respecting its extract and train units, queue stalls, and
+// its dead window (+Inf for a permanently crashed consumer).
+func (c *consumer) plan(ready, extract Seconds, f *Faults) (extractStart, trainStart Seconds) {
+	extractStart = c.earliestStart(ready)
+	if f != nil {
+		extractStart = f.stallClamp(extractStart)
+		if extractStart >= c.crashAt && extractStart < c.recoverAt {
+			extractStart = f.stallClamp(c.recoverAt)
+		}
+	}
+	trainStart = extractStart + c.extractDur(extract, extractStart, f)
+	if c.trainFree > trainStart {
+		trainStart = c.trainFree
+	}
+	return extractStart, trainStart
+}
+
+// run executes one planned attempt on c and returns its stage ends and
+// the occupancy to bill. A crash inside the attempt aborts it: occupancy
+// up to the crash is lost, both units resume at recovery (never, for a
+// permanent crash), and the caller requeues the work at the crash time.
+// earliestStart keeps later starts out of the dead window, so each
+// consumer aborts at most one attempt and requeue loops terminate.
+func (c *consumer) run(extractStart, trainStart, extract, train Seconds, f *Faults, pipelined bool) (extractEnd, trainEnd, busy Seconds, aborted bool) {
+	extractDur := c.extractDur(extract, extractStart, f)
+	extractEnd = extractStart + extractDur
+	trainDur := c.trainDur(train, trainStart)
+	trainEnd = trainStart + trainDur
+	if extractStart < c.crashAt && trainEnd > c.crashAt {
+		c.extractFree, c.trainFree = c.recoverAt, c.recoverAt
+		return extractEnd, trainEnd, c.crashAt - extractStart, true
+	}
+	if pipelined { // the next Extract may overlap this Train (§5.2)
+		c.extractFree = extractEnd
+	} else {
+		c.extractFree = trainEnd
+	}
+	c.trainFree = trainEnd
+	return extractEnd, trainEnd, extractDur + trainDur, false
+}
+
 // aliveAt reports whether the consumer is available (joined and not in
 // its dead window) at simulated time t.
 func (c *consumer) aliveAt(t Seconds) bool {
@@ -340,34 +382,6 @@ func Consume(tasks []Task, opts ConsumeOptions) Result {
 	// only once their Sampler has finished).
 	roundSize := activeConsumersAt(consumers, 0)
 
-	// plan projects when consumer c would start and finish training the
-	// task, respecting its extract unit, its train unit, queue stalls,
-	// and its injected dead window. The sync barrier is intentionally
-	// excluded: it delays every consumer equally, so including it would
-	// mask per-consumer backlog and make selection degenerate (e.g. a
-	// standby Trainer could never win a tie against a backed-up normal
-	// Trainer). Callers apply the barrier to the chosen consumer's
-	// actual start.
-	plan := func(c *consumer, t *Task) (extractStart, trainStart Seconds) {
-		extractStart = c.earliestStart(t.Ready)
-		if faults != nil {
-			extractStart = faults.stallClamp(extractStart)
-			if extractStart >= c.crashAt && extractStart < c.recoverAt {
-				// A stall pushed the start into the dead window.
-				extractStart = faults.stallClamp(c.recoverAt)
-			}
-		}
-		extract := t.Extract
-		if c.standby {
-			extract = t.standbyExtract()
-		}
-		trainStart = extractStart + c.extractDur(extract, extractStart, faults)
-		if c.trainFree > trainStart {
-			trainStart = c.trainFree
-		}
-		return extractStart, trainStart
-	}
-
 	for len(queue) > 0 {
 		idx := queue[0]
 		queue = queue[1:]
@@ -399,7 +413,7 @@ func Consume(tasks []Task, opts ConsumeOptions) Result {
 				if c.standby && !includeIdleStandby && !standbyProfitable(remaining, aliveNormal, opts) {
 					continue
 				}
-				es, ts := plan(c, t)
+				es, ts := c.plan(t.Ready, t.extractOn(c), faults)
 				if math.IsInf(ts, 1) {
 					continue
 				}
@@ -418,26 +432,19 @@ func Consume(tasks []Task, opts ConsumeOptions) Result {
 		}
 		c := consumers[best]
 
-		extract := t.Extract
-		if c.standby {
-			extract = t.standbyExtract()
-		}
-		extractStart, trainStart := plan(c, t)
+		// The sync barrier applies only to the chosen consumer: it delays
+		// every consumer equally, so planning with it would mask backlog
+		// and make selection degenerate.
+		extract := t.extractOn(c)
+		extractStart, trainStart := c.plan(t.Ready, extract, faults)
 		if opts.Sync && barrier > trainStart {
 			trainStart = barrier
 		}
-		extractDur := c.extractDur(extract, extractStart, faults)
-		extractEnd := extractStart + extractDur
-		trainDur := c.trainDur(t.Train, trainStart)
-		trainEnd := trainStart + trainDur
-
-		// A crash inside the attempt aborts it: the consumer's occupancy
-		// up to the crash is lost, its units resume at recovery (never,
-		// for a permanent crash), and the task re-enters the queue at
-		// the crash time in Ready order. earliestStart keeps post-crash
-		// starts out of the dead window, so each consumer aborts at most
-		// one task per epoch and the requeue loop terminates.
-		if extractStart < c.crashAt && trainEnd > c.crashAt {
+		extractEnd, trainEnd, busy, aborted := c.run(extractStart, trainStart, extract, t.Train, faults, opts.Pipelined)
+		if !c.standby {
+			res.TrainerBusy[best] += busy
+		}
+		if aborted { // requeue at the crash time, in Ready order
 			res.FaultEvents = append(res.FaultEvents, FaultEvent{
 				Consumer: best,
 				Standby:  c.standby,
@@ -446,12 +453,6 @@ func Consume(tasks []Task, opts ConsumeOptions) Result {
 				At:       c.crashAt,
 			})
 			res.Requeued++
-			lost := c.crashAt - extractStart
-			c.busy += lost
-			if !c.standby {
-				res.TrainerBusy[best] += lost
-			}
-			c.extractFree, c.trainFree = c.recoverAt, c.recoverAt
 			if t.Ready < c.crashAt {
 				t.Ready = c.crashAt
 			}
@@ -463,19 +464,6 @@ func Consume(tasks []Task, opts ConsumeOptions) Result {
 		}
 		if c.standby {
 			res.TasksByStandby++
-		}
-
-		if opts.Pipelined {
-			// Next extract may start as soon as this one vacates the
-			// extract unit.
-			c.extractFree = extractEnd
-		} else {
-			c.extractFree = trainEnd
-		}
-		c.trainFree = trainEnd
-		c.busy += extractDur + trainDur
-		if !c.standby {
-			res.TrainerBusy[best] += extractDur + trainDur
 		}
 		if trainEnd > res.Makespan {
 			res.Makespan = trainEnd

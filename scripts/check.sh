@@ -68,7 +68,15 @@ go run ./cmd/gnnlab-bench -scale 8 -gpus 4 -epochs 2 -packed table2 > /dev/null
 # through the CLI (degree vs PreSC under drift at two re-rank cadences).
 go run ./cmd/gnnlab-bench -scale 8 -gpus 4 -epochs 2 -drift 3 drift
 # Epoch-accounting smoke: the critical-path/what-if report end to end.
-go run ./cmd/gnnlab-bench -scale 16 -gpus 4 -whatif PA > /dev/null
+go run ./cmd/gnnlab-timeline -dataset PA -scale 16 -gpus 4 -gantt=false -report > /dev/null
+# Faulted-epoch determinism: a traced epoch under seed-keyed faults drives
+# the epoch engine's crash/requeue/stall paths from the CLI, so two runs
+# must emit byte-identical timelines and accounting reports.
+FAULT_TMP="$(mktemp -d)"
+go run ./cmd/gnnlab-timeline -dataset PA -scale 16 -gpus 4 -faults 3 -gantt=false -csv -report > "$FAULT_TMP/a.txt"
+go run ./cmd/gnnlab-timeline -dataset PA -scale 16 -gpus 4 -faults 3 -gantt=false -csv -report > "$FAULT_TMP/b.txt"
+cmp "$FAULT_TMP/a.txt" "$FAULT_TMP/b.txt"
+rm -rf "$FAULT_TMP"
 # Serving suite: the queue lifecycle fixes (done-on-last-item, Reopen
 # maxDepth reset, closed-enqueue drop accounting) and the Close/Reopen
 # stress interleavings under race, the open-loop simulator's conservation
