@@ -1,6 +1,9 @@
 package gnnlab
 
 import (
+	"fmt"
+	"math"
+
 	"gnnlab/internal/cache"
 	"gnnlab/internal/rng"
 	"gnnlab/internal/sampling"
@@ -64,28 +67,31 @@ type CacheEvaluation struct {
 
 // EvaluateCachePolicy measures `epochs` epochs of the Sample stage on d
 // with alg and evaluates the named policy at the given cache ratio —
-// the analysis behind the paper's Figures 4, 5, 10 and 11.
+// the analysis behind the paper's Figures 4, 5, 10 and 11. PreSC runs as
+// PreSC#1; Optimal ranks by the measured footprint itself. An unknown
+// policy, a ratio outside [0, 1] or a non-positive batch size or epoch
+// count is an error.
 func EvaluateCachePolicy(d *Dataset, alg SamplingAlgorithm, policy CachePolicy, ratio float64, batchSize, epochs int, seed uint64) (CacheEvaluation, error) {
-	fp := cache.CollectFootprint(d.Graph, alg, d.TrainSet, batchSize, epochs, seed)
-	// Only the cached prefix of the ranking is ever consulted, so rank
-	// top-`slots` (O(|V|) selection) instead of sorting every vertex.
+	if math.IsNaN(ratio) || ratio < 0 || ratio > 1 {
+		return CacheEvaluation{}, fmt.Errorf("gnnlab: cache ratio %v outside [0, 1]", ratio)
+	}
+	if epochs <= 0 || batchSize <= 0 {
+		return CacheEvaluation{}, fmt.Errorf("gnnlab: batch size %d and epochs %d must both be positive", batchSize, epochs)
+	}
+	// Only the cached prefix of the ranking is ever consulted.
 	slots := int(ratio * float64(d.NumVertices()))
-	var ranking []int32
-	switch policy {
-	case cache.PolicyRandom:
-		ranking = cache.RandomHotness(d.NumVertices(), rng.New(seed^0x5EED)).RankTop(slots)
-	case cache.PolicyDegree:
-		ranking = cache.DegreeHotness(d.Graph).RankTop(slots)
-	case cache.PolicyPreSC:
-		ranking = cache.PreSC(d.Graph, alg, d.TrainSet, batchSize, 1, seed^0x12345).Hotness.RankTop(slots)
-	case cache.PolicyOptimal:
-		ranking = fp.OptimalHotness().RankTop(slots)
+	fp := cache.CollectFootprint(d.Graph, alg, d.TrainSet, batchSize, epochs, seed, 0)
+	r, err := cache.Rank(d.Graph, d.TrainSet, cache.RankSpec{
+		Policy: policy, Alg: alg, BatchSize: batchSize, K: 1, Epochs: epochs, Seed: seed, Top: slots, Footprint: fp,
+	})
+	if err != nil {
+		return CacheEvaluation{}, err
 	}
 	return CacheEvaluation{
 		Policy:           policy.String(),
 		CacheRatio:       ratio,
-		HitRate:          fp.HitRate(ranking, slots),
-		TransferredBytes: fp.TransferredBytes(ranking, slots, d.VertexFeatureBytes()) / int64(epochs),
+		HitRate:          fp.HitRate(r.Order, slots),
+		TransferredBytes: fp.TransferredBytes(r.Order, slots, d.VertexFeatureBytes()) / int64(epochs),
 	}, nil
 }
 

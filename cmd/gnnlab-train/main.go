@@ -26,7 +26,7 @@ import (
 func main() {
 	model := flag.String("model", "sage", "GNN model: gcn, sage, pinsage or gat")
 	trainers := flag.Int("trainers", 1, "synchronous data-parallel trainer count")
-	samplers := flag.Int("samplers", 2, "concurrent sampler goroutines (0 = inline)")
+	samplers := flag.Int("samplers", 2, "concurrent sampler goroutines (0 = 1)")
 	target := flag.Float64("target", 0.97, "stop at this evaluation accuracy")
 	epochs := flag.Int("epochs", 60, "maximum epochs")
 	scale := flag.Int("scale", 1, "dataset scale divisor")

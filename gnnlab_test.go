@@ -2,6 +2,7 @@ package gnnlab
 
 import (
 	"bytes"
+	"math"
 	"strings"
 	"testing"
 )
@@ -80,6 +81,38 @@ func TestEvaluateCachePolicyOrdering(t *testing.T) {
 	}
 	if results[PolicyRandom].TransferredBytes <= results[PolicyOptimal].TransferredBytes {
 		t.Error("random policy transfers no more than optimal")
+	}
+}
+
+// TestEvaluateCachePolicyRejectsBadInput: an unknown policy, a ratio
+// outside [0, 1] and a non-positive epoch count or batch size fail with
+// an error naming the bad value instead of a silent zero or a panic.
+func TestEvaluateCachePolicyRejectsBadInput(t *testing.T) {
+	d := loadPA(t)
+	alg := NewKHopSampler([]int{5, 3})
+	cases := []struct {
+		name          string
+		policy        CachePolicy
+		ratio         float64
+		batch, epochs int
+		want          string
+	}{
+		{"unknown policy", CachePolicy(7), 0.1, 8, 1, "PolicyKind(7)"},
+		{"negative ratio", PolicyDegree, -0.1, 8, 1, "-0.1"},
+		{"ratio above one", PolicyDegree, 1.5, 8, 1, "1.5"},
+		{"NaN ratio", PolicyDegree, math.NaN(), 8, 1, "NaN"},
+		{"zero epochs", PolicyPreSC, 0.1, 8, 0, "epochs 0"},
+		{"zero batch size", PolicyRandom, 0.1, 0, 1, "batch size 0"},
+	}
+	for _, tc := range cases {
+		ev, err := EvaluateCachePolicy(d, alg, tc.policy, tc.ratio, tc.batch, tc.epochs, 7)
+		if err == nil {
+			t.Errorf("%s: accepted (%+v)", tc.name, ev)
+			continue
+		}
+		if !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: error %q does not name %q", tc.name, err, tc.want)
+		}
 	}
 }
 

@@ -8,8 +8,8 @@ import (
 	"gnnlab/internal/sampling"
 )
 
-// The replay engine's contract: PreSCN, CollectFootprintN and
-// CollectEpochFootprintsN are pure functions of (graph, alg, trainSet,
+// The replay engine's contract: PreSCN, CollectFootprint and
+// CollectEpochFootprints are pure functions of (graph, alg, trainSet,
 // batchSize, epochs, seed) — the workers argument only changes wall-clock
 // time. Verified for every algorithm family the workloads use.
 
@@ -57,15 +57,15 @@ func TestCollectFootprintDeterministicAcrossWorkers(t *testing.T) {
 	g := skewedGraph(9, 600, 4000)
 	ts := trainSet(600, 120, 10)
 	for _, a := range replayAlgs() {
-		base := CollectFootprintN(g, a.alg, ts, 16, 2, 42, 1)
+		base := CollectFootprint(g, a.alg, ts, 16, 2, 42, 1)
 		for _, w := range replayWorkerCounts()[1:] {
-			got := CollectFootprintN(g, a.alg, ts, 16, 2, 42, w)
+			got := CollectFootprint(g, a.alg, ts, 16, 2, 42, w)
 			if !reflect.DeepEqual(base, got) {
 				t.Errorf("%s: footprint differs between workers=1 and %d", a.name, w)
 			}
 		}
-		if legacy := CollectFootprint(g, a.alg, ts, 16, 2, 42); !reflect.DeepEqual(base, legacy) {
-			t.Errorf("%s: CollectFootprint disagrees with CollectFootprintN(workers=1)", a.name)
+		if dflt := CollectFootprint(g, a.alg, ts, 16, 2, 42, 0); !reflect.DeepEqual(base, dflt) {
+			t.Errorf("%s: CollectFootprint(workers=0) disagrees with workers=1", a.name)
 		}
 	}
 }
@@ -74,9 +74,9 @@ func TestCollectEpochFootprintsDeterministicAcrossWorkers(t *testing.T) {
 	g := skewedGraph(11, 600, 4000)
 	ts := trainSet(600, 120, 12)
 	for _, a := range replayAlgs() {
-		base := CollectEpochFootprintsN(g, a.alg, ts, 16, 3, 42, 1)
+		base := CollectEpochFootprints(g, a.alg, ts, 16, 3, 42, 1)
 		for _, w := range replayWorkerCounts()[1:] {
-			got := CollectEpochFootprintsN(g, a.alg, ts, 16, 3, 42, w)
+			got := CollectEpochFootprints(g, a.alg, ts, 16, 3, 42, w)
 			if !reflect.DeepEqual(base, got) {
 				t.Errorf("%s: epoch footprints differ between workers=1 and %d", a.name, w)
 			}
@@ -90,9 +90,9 @@ func TestCollectEpochFootprintsDeterministicAcrossWorkers(t *testing.T) {
 func TestFootprintRankingStableAcrossWorkers(t *testing.T) {
 	g := skewedGraph(13, 600, 4000)
 	ts := trainSet(600, 120, 14)
-	base := CollectFootprintN(g, sampling.ForGCN(), ts, 16, 2, 7, 1).OptimalHotness().Rank()
+	base := CollectFootprint(g, sampling.ForGCN(), ts, 16, 2, 7, 1).OptimalHotness().Rank()
 	for _, w := range replayWorkerCounts()[1:] {
-		got := CollectFootprintN(g, sampling.ForGCN(), ts, 16, 2, 7, w).OptimalHotness().Rank()
+		got := CollectFootprint(g, sampling.ForGCN(), ts, 16, 2, 7, w).OptimalHotness().Rank()
 		if !reflect.DeepEqual(base, got) {
 			t.Errorf("oracle ranking differs between workers=1 and %d", w)
 		}

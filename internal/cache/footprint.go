@@ -23,22 +23,16 @@ type Footprint struct {
 	ScannedEdges     int64
 }
 
-// CollectFootprint runs `epochs` epochs of the Sample stage and records
-// the footprint. Deterministic in (g, alg, trainSet, batchSize, seed) —
-// the replay uses the (epoch, batch) RNG-split convention shared with
+// CollectFootprint runs `epochs` epochs of the Sample stage on a pool of
+// `workers` goroutines (0 = GOMAXPROCS, 1 = serial) and records the
+// footprint. Deterministic in (g, alg, trainSet, batchSize, seed) — the
+// replay uses the (epoch, batch) RNG-split convention shared with
 // internal/core.Run, so with the same seed it reproduces a measured run's
-// footprint exactly (the Optimal oracle's contract, §3 footnote 4). Runs
-// on the parallel measurement engine with GOMAXPROCS workers; use
-// CollectFootprintN to pin the worker count.
-func CollectFootprint(g graph.View, alg sampling.Algorithm, trainSet []int32, batchSize, epochs int, seed uint64) *Footprint {
-	return CollectFootprintN(g, alg, trainSet, batchSize, epochs, seed, 0)
-}
-
-// CollectFootprintN is CollectFootprint with an explicit worker-pool size
-// (0 = GOMAXPROCS, 1 = serial). Per-worker footprints are merged at the
-// end; all absorbed quantities are commutative sums, so the result is
-// bit-identical at any worker count.
-func CollectFootprintN(g graph.View, alg sampling.Algorithm, trainSet []int32, batchSize, epochs int, seed uint64, workers int) *Footprint {
+// footprint exactly (the Optimal oracle's contract, §3 footnote 4).
+// Per-worker footprints are merged at the end; all absorbed quantities
+// are commutative sums, so the result is bit-identical at any worker
+// count.
+func CollectFootprint(g graph.View, alg sampling.Algorithm, trainSet []int32, batchSize, epochs int, seed uint64, workers int) *Footprint {
 	n := g.NumVertices()
 	accs := replaySampling(g, alg, trainSet, batchSize, epochs, seed, workers,
 		func() *Footprint {
@@ -127,15 +121,9 @@ type EpochFootprint struct {
 
 // CollectEpochFootprints runs `epochs` epochs and returns each epoch's
 // visit counts separately. It uses the same (epoch, batch) RNG keying and
-// worker pool as CollectFootprint, with per-worker per-epoch accumulators
-// merged at the end.
-func CollectEpochFootprints(g graph.View, alg sampling.Algorithm, trainSet []int32, batchSize, epochs int, seed uint64) []EpochFootprint {
-	return CollectEpochFootprintsN(g, alg, trainSet, batchSize, epochs, seed, 0)
-}
-
-// CollectEpochFootprintsN is CollectEpochFootprints with an explicit
-// worker-pool size (0 = GOMAXPROCS, 1 = serial).
-func CollectEpochFootprintsN(g graph.View, alg sampling.Algorithm, trainSet []int32, batchSize, epochs int, seed uint64, workers int) []EpochFootprint {
+// worker pool (0 = GOMAXPROCS, 1 = serial) as CollectFootprint, with
+// per-worker per-epoch accumulators merged at the end.
+func CollectEpochFootprints(g graph.View, alg sampling.Algorithm, trainSet []int32, batchSize, epochs int, seed uint64, workers int) []EpochFootprint {
 	n := g.NumVertices()
 	accs := replaySampling(g, alg, trainSet, batchSize, epochs, seed, workers,
 		func() [][]int64 { return make([][]int64, epochs) },
@@ -198,8 +186,9 @@ func Similarity(fi, fj EpochFootprint, topFraction float64) float64 {
 }
 
 // topSet returns the set of the top `fraction` vertices by visit count
-// among vertices visited at least once, selecting (selectTop) rather than
-// sorting all visited vertices — only the chosen prefix is ever ordered.
+// among vertices visited at least once, selecting (graph.SelectTop)
+// rather than sorting all visited vertices — only the chosen prefix is
+// ever ordered.
 func topSet(visits []int64, fraction float64) map[int32]struct{} {
 	ids := make([]int32, 0, len(visits))
 	for v, c := range visits {
@@ -211,7 +200,7 @@ func topSet(visits []int64, fraction float64) map[int32]struct{} {
 	if k > len(ids) {
 		k = len(ids)
 	}
-	selectTop(ids, k, func(a, b int32) bool {
+	graph.SelectTop(ids, k, func(a, b int32) bool {
 		ca, cb := visits[a], visits[b]
 		if ca != cb {
 			return ca > cb

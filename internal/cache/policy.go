@@ -75,8 +75,8 @@ func (h Hotness) Rank() []int32 {
 
 // RankTop returns the k hottest vertex IDs in descending hotness, ties
 // broken by ascending ID — the same prefix Rank()[:k] would give, in
-// O(|V|) expected time instead of a full sort (selectTop). k is clamped
-// to the vertex count.
+// O(|V|) expected time instead of a full sort (graph.SelectTop's
+// deterministic introselect). k is clamped to the vertex count.
 func (h Hotness) RankTop(k int) []int32 {
 	ids := make([]int32, len(h.Score))
 	for i := range ids {
@@ -85,7 +85,7 @@ func (h Hotness) RankTop(k int) []int32 {
 	if k > len(ids) {
 		k = len(ids)
 	}
-	selectTop(ids, k, func(a, b int32) bool {
+	graph.SelectTop(ids, k, func(a, b int32) bool {
 		sa, sb := h.Score[a], h.Score[b]
 		if sa != sb {
 			return sa > sb

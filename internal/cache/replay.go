@@ -6,16 +6,10 @@ import (
 	"gnnlab/internal/sampling"
 )
 
-// planReplay derives every epoch's shuffled mini-batches and per-batch RNG
-// streams from seed, serially — the shared (epoch, batch) determinism
-// convention of sampling.PlanEpochs, also used by internal/measure and
-// internal/train.
-func planReplay(trainSet []int32, batchSize, epochs int, seed uint64) []sampling.EpochCell {
-	return sampling.PlanEpochs(trainSet, batchSize, epochs, seed)
-}
-
 // replaySampling replays `epochs` epochs of the Sample stage across a
-// worker pool. Each worker gets its own clone of alg and its own
+// worker pool, over the cells of sampling.PlanEpochs — the (epoch, batch)
+// RNG convention internal/measure shares (internal/train keys its live
+// batches differently). Each worker gets its own clone of alg and its own
 // accumulator from newAcc; absorb is called on the sampling worker with
 // that worker's accumulator. The returned accumulators (one per worker,
 // some possibly untouched) must be merged by the caller in index order;
@@ -26,7 +20,7 @@ func replaySampling[T any](
 	batchSize, epochs int, seed uint64, workers int,
 	newAcc func() T, absorb func(acc T, epoch int, s *sampling.Sample),
 ) []T {
-	cells := planReplay(trainSet, batchSize, epochs, seed)
+	cells := sampling.PlanEpochs(trainSet, batchSize, epochs, seed)
 	sampling.Prepare(alg, g)
 	w := par.Workers(workers)
 	if w > len(cells) && len(cells) > 0 {

@@ -88,9 +88,9 @@ func TestFootprintSnapshotMatchesRebuild(t *testing.T) {
 	snap, rebuilt := deltaRebuildPair(t, 5, 500, 50, 9000)
 	ts := trainSet(rebuilt.NumVertices(), 60, 6)
 	alg := sampling.NewWeightedKHopMethod([]int{5, 3}, sampling.WeightedCDF)
-	ref := CollectFootprintN(rebuilt, alg, ts, 16, 2, 99, 1)
+	ref := CollectFootprint(rebuilt, alg, ts, 16, 2, 99, 1)
 	for _, workers := range []int{1, 2, 4} {
-		got := CollectFootprintN(snap, alg, ts, 16, 2, 99, workers)
+		got := CollectFootprint(snap, alg, ts, 16, 2, 99, workers)
 		if !reflect.DeepEqual(ref, got) {
 			t.Errorf("workers=%d: footprint over snapshot differs from rebuild reference", workers)
 		}

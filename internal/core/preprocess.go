@@ -3,7 +3,6 @@ package core
 import (
 	"gnnlab/internal/cache"
 	"gnnlab/internal/gen"
-	"gnnlab/internal/sampling"
 )
 
 // PreprocessCost is the Table 6 breakdown: the one-off costs paid before
@@ -24,7 +23,8 @@ type PreprocessCost struct {
 func (p PreprocessCost) DRAMToGPU() float64 { return p.LoadTopology + p.LoadCache }
 
 // Preprocess estimates the preprocessing cost of running cfg on d,
-// performing the real pre-sampling to cost P3.
+// building (or, with a MeasureStore, reusing) the real PreSC ranking to
+// cost P3 exactly as Run does.
 func Preprocess(ds *gen.Dataset, cfg Config) (PreprocessCost, error) {
 	cfg = cfg.withDefaults()
 	dim := ds.FeatureDim
@@ -44,9 +44,10 @@ func Preprocess(ds *gen.Dataset, cfg Config) (PreprocessCost, error) {
 		LoadCache:    cfg.Cost.PCIeLoadTime(plan.cacheBytes),
 	}
 	if cfg.CacheEnabled && cfg.CachePolicy == cache.PolicyPreSC {
-		res := cache.PreSCN(ds.Graph, cfg.Workload.NewSampler(), ds.TrainSet, cfg.Workload.BatchSize, cfg.PreSCK, cfg.Seed^0x12345, cfg.MeasureWorkers)
-		s := &sampling.Sample{SampledEdges: res.SampledEdges, ScannedEdges: res.ScannedEdges}
-		p.PreSample = cfg.Cost.SampleTime(s, cfg.Sampler, cfg.Workload.NumLayers())
+		var err error
+		if _, p.PreSample, err = buildRanking(cfg, ds); err != nil {
+			return PreprocessCost{}, err
+		}
 	}
 	return p, nil
 }

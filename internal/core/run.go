@@ -11,7 +11,6 @@ import (
 	"gnnlab/internal/obs"
 	"gnnlab/internal/obs/account"
 	"gnnlab/internal/par"
-	"gnnlab/internal/rng"
 	"gnnlab/internal/sampling"
 	"gnnlab/internal/sched"
 	"gnnlab/internal/sim"
@@ -430,20 +429,29 @@ func (rn runner) observeReport(rep *Report, stats cache.Stats) {
 
 // buildRanking produces the cache ranking for the configured policy and
 // the pre-sampling cost when the policy is PreSC. With a MeasureStore
-// the ranking is memoized by content key; PreSC's pre-sampling *time*
-// depends on the configuration's cost model and sampler kind, so it is
-// always priced per call from the (memoized) edge counts.
+// the ranking is memoized under its cache.RankSpec key; PreSC's
+// pre-sampling *time* depends on the configuration's cost model and
+// sampler kind, so it is always priced per call from the (memoized) edge
+// counts. For Optimal, the same seed and epoch count reproduce the
+// measured run's footprint exactly (§3 footnote 4).
 func buildRanking(cfg Config, d *gen.Dataset) ([]int32, float64, error) {
-	rankKey, ok := rankKeyFor(cfg, d)
-	if !ok {
-		return nil, 0, fmt.Errorf("system: unknown cache policy %v", cfg.CachePolicy)
+	spec := cache.RankSpec{
+		Policy: cfg.CachePolicy, Alg: cfg.Workload.NewSampler(), BatchSize: cfg.Workload.BatchSize,
+		K: cfg.PreSCK, Epochs: cfg.Epochs, Seed: cfg.Seed, Workers: cfg.MeasureWorkers, Top: d.NumVertices(),
 	}
-	rank := func() measure.Ranking { return computeRanking(cfg, d) }
-	var r measure.Ranking
+	key, err := spec.Key()
+	if err != nil {
+		return nil, 0, fmt.Errorf("system: %w", err)
+	}
+	rank := func() (cache.Ranking, error) { return cache.Rank(d.Graph, d.TrainSet, spec) }
+	var r cache.Ranking
 	if cfg.MeasureStore != nil {
-		r = cfg.MeasureStore.GetOrRank(rankKey, rank)
+		r, err = cfg.MeasureStore.GetOrRank(measure.RankKey{Dataset: d.Name, Vertices: d.NumVertices(), Edges: d.Graph.NumEdges(), Rank: key}, rank)
 	} else {
-		r = rank()
+		r, err = rank()
+	}
+	if err != nil {
+		return nil, 0, err
 	}
 	var preTime float64
 	if cfg.CachePolicy == cache.PolicyPreSC {
@@ -451,63 +459,6 @@ func buildRanking(cfg Config, d *gen.Dataset) ([]int32, float64, error) {
 		preTime = cfg.Cost.SampleTime(s, cfg.Sampler, cfg.Workload.NumLayers())
 	}
 	return r.Order, preTime, nil
-}
-
-// rankKeyFor builds the content key of cfg's cache-ranking computation;
-// ok is false for unknown policies.
-func rankKeyFor(cfg Config, d *gen.Dataset) (measure.RankKey, bool) {
-	key := measure.RankKey{
-		Dataset:  d.Name,
-		Vertices: d.NumVertices(),
-		Edges:    d.Graph.NumEdges(),
-	}
-	switch cfg.CachePolicy {
-	case cache.PolicyDegree:
-		key.Policy = "degree"
-	case cache.PolicyRandom:
-		key.Policy = "random"
-		key.Seed = cfg.Seed
-	case cache.PolicyPreSC:
-		key.Policy = "presc"
-		key.Algorithm = sampling.Fingerprint(cfg.Workload.NewSampler())
-		key.BatchSize = cfg.Workload.BatchSize
-		key.K = cfg.PreSCK
-		key.Seed = cfg.Seed
-	case cache.PolicyOptimal:
-		key.Policy = "optimal"
-		key.Algorithm = sampling.Fingerprint(cfg.Workload.NewSampler())
-		key.BatchSize = cfg.Workload.BatchSize
-		key.Epochs = cfg.Epochs
-		key.Seed = cfg.Seed
-	default:
-		return measure.RankKey{}, false
-	}
-	return key, true
-}
-
-// computeRanking runs the configured policy's ranking computation.
-func computeRanking(cfg Config, d *gen.Dataset) measure.Ranking {
-	g := d.Graph
-	switch cfg.CachePolicy {
-	case cache.PolicyDegree:
-		return measure.Ranking{Order: cache.DegreeHotness(g).Rank()}
-	case cache.PolicyRandom:
-		return measure.Ranking{Order: cache.RandomHotness(g.NumVertices(), rng.New(cfg.Seed^0x5EED)).Rank()}
-	case cache.PolicyPreSC:
-		res := cache.PreSCN(g, cfg.Workload.NewSampler(), d.TrainSet, cfg.Workload.BatchSize, cfg.PreSCK, cfg.Seed^0x12345, cfg.MeasureWorkers)
-		return measure.Ranking{
-			Order:        res.Hotness.Rank(),
-			SampledEdges: res.SampledEdges,
-			ScannedEdges: res.ScannedEdges,
-		}
-	case cache.PolicyOptimal:
-		// The oracle sees the measured run itself: identical seed and
-		// epoch count reproduce the exact footprint (§3 footnote 4).
-		fp := cache.CollectFootprintN(g, cfg.Workload.NewSampler(), d.TrainSet, cfg.Workload.BatchSize, cfg.Epochs, cfg.Seed, cfg.MeasureWorkers)
-		return measure.Ranking{Order: fp.OptimalHotness().Rank()}
-	default:
-		panic(fmt.Sprintf("system: unknown cache policy %v", cfg.CachePolicy))
-	}
 }
 
 // sampleDuration costs the core graph sampling ("G") of one batch.

@@ -119,23 +119,20 @@ func AblationSubgraph(o Options) (*Table, error) {
 		Header: []string{"Algorithm", "Epoch similarity", "Random", "Degree", "PreSC#1", "Optimal", "PreSC/Optimal"},
 	}
 	for _, a := range algs {
-		fps := cache.CollectEpochFootprints(d.Graph, a.alg, d.TrainSet, o.batchSize(), 2, o.Seed)
+		fps := cache.CollectEpochFootprints(d.Graph, a.alg, d.TrainSet, o.batchSize(), 2, o.Seed, o.Workers)
 		sim := cache.Similarity(fps[0], fps[1], 0.10)
 
-		fp := cache.CollectFootprint(d.Graph, a.alg, d.TrainSet, o.batchSize(), o.Epochs, o.Seed)
+		fp := cache.CollectFootprint(d.Graph, a.alg, d.TrainSet, o.batchSize(), o.Epochs, o.Seed, o.Workers)
 		slots := int(0.10 * float64(d.NumVertices()))
-		presc := cache.PreSC(d.Graph, a.alg, d.TrainSet, o.batchSize(), 1, o.Seed^0x12345).Hotness.RankTop(slots)
-		opt := fp.OptimalHotness().RankTop(slots)
-		prescHR := fp.HitRate(presc, slots)
-		optHR := fp.HitRate(opt, slots)
-		rel := "-"
-		if optHR > 0 {
-			rel = fmt.Sprintf("%.2f", prescHR/optHR)
+		hr, err := o.hitRates(d, a.alg, fp, slots, cache.PolicyRandom, cache.PolicyDegree, cache.PolicyPreSC, cache.PolicyOptimal)
+		if err != nil {
+			return nil, err
 		}
-		t.AddRow(a.name, pct(sim),
-			pct(fp.HitRate(cache.RandomHotness(d.NumVertices(), rngFor(o)).RankTop(slots), slots)),
-			pct(fp.HitRate(cache.DegreeHotness(d.Graph).RankTop(slots), slots)),
-			pct(prescHR), pct(optHR), rel)
+		rel := "-"
+		if hr[3] > 0 {
+			rel = fmt.Sprintf("%.2f", hr[2]/hr[3])
+		}
+		t.AddRow(a.name, pct(sim), pct(hr[0]), pct(hr[1]), pct(hr[2]), pct(hr[3]), rel)
 	}
 	return t, nil
 }

@@ -7,9 +7,18 @@ import (
 
 // Rendered tables are byte-identical at any Workers setting: cells write
 // only pre-sized slots and the per-cell measurement engine is itself
-// deterministic. table1 covers the core.Run path (six system variants);
-// figure10 covers the analytic cache path (footprints, PreSC rankings).
-func assertRenderStable(t *testing.T, id string) {
+// deterministic. table1 covers the core.Run path (six system variants) and
+// table6 core.Preprocess's PreSC ranking; figure10, the two ranking
+// ablations and drift cover the analytic cache path (footprints, every
+// policy's ranking, PreSC scores).
+func assertRenderStable(t *testing.T, ids ...string) {
+	t.Helper()
+	for _, id := range ids {
+		assertOneRenderStable(t, id)
+	}
+}
+
+func assertOneRenderStable(t *testing.T, id string) {
 	t.Helper()
 	fn, ok := Lookup(id)
 	if !ok {
@@ -38,9 +47,9 @@ func assertRenderStable(t *testing.T, id string) {
 }
 
 func TestTable1RenderStableAcrossWorkers(t *testing.T) {
-	assertRenderStable(t, "table1")
+	assertRenderStable(t, "table1", "table6")
 }
 
 func TestFigure10RenderStableAcrossWorkers(t *testing.T) {
-	assertRenderStable(t, "figure10")
+	assertRenderStable(t, "figure10", "ablation-subgraph", "ablation-coupling", "drift")
 }

@@ -55,13 +55,18 @@ func Drift(o Options) (*Table, error) {
 
 	// Round-0 rankings over the base graph.
 	degreeStale := cache.DegreeHotness(base).RankTop(slots)
-	presc := cache.PreSCN(base, alg, d.TrainSet, batch, 2, o.Seed^0x12345, o.Workers)
-	prescStale := presc.Hotness.RankTop(slots)
+	presc, _, err := cache.Score(base, d.TrainSet, cache.RankSpec{
+		Policy: cache.PolicyPreSC, Alg: alg, BatchSize: batch, K: 2, Seed: o.Seed, Workers: o.Workers,
+	})
+	if err != nil {
+		return nil, err
+	}
+	prescStale := presc.RankTop(slots)
 	// base0 keeps the round-0 per-epoch visit rates: the incremental
 	// maintainer estimates a new edge (u,w)'s contribution to w as
 	// visits(u) * P[w drawn | u expanded] without re-running pre-sampling.
-	base0 := append([]float64(nil), presc.Hotness.Score...)
-	prescInc := cache.NewHotness(append([]float64(nil), presc.Hotness.Score...))
+	base0 := append([]float64(nil), presc.Score...)
+	prescInc := cache.NewHotness(append([]float64(nil), presc.Score...))
 
 	// Spam hubs get the out-degree of the ranking's top quartile, +1: high
 	// enough that a re-ranked Degree policy always caches them.
@@ -102,7 +107,7 @@ func Drift(o Options) (*Table, error) {
 		},
 	}
 
-	fp0 := cache.CollectFootprintN(base, alg, d.TrainSet, batch, o.Epochs, o.Seed, o.Workers)
+	fp0 := cache.CollectFootprint(base, alg, d.TrainSet, batch, o.Epochs, o.Seed, o.Workers)
 	t.AddRow("0", "0",
 		pct(fp0.HitRate(degreeStale, slots)), pct(fp0.HitRate(degreeStale, slots)),
 		pct(fp0.HitRate(prescStale, slots)), pct(fp0.HitRate(prescStale, slots)))
@@ -160,7 +165,7 @@ func Drift(o Options) (*Table, error) {
 		degreeRe := cache.DegreeHotness(snap).RankTop(slots)
 		prescIncRank := prescInc.RankTop(slots)
 
-		fp := cache.CollectFootprintN(snap, alg, d.TrainSet, batch, o.Epochs,
+		fp := cache.CollectFootprint(snap, alg, d.TrainSet, batch, o.Epochs,
 			o.Seed+uint64(round), o.Workers)
 		t.AddRow(fmt.Sprintf("%d", round), fmt.Sprintf("%d", delta.AddedEdges()),
 			pct(fp.HitRate(degreeStale, slots)), pct(fp.HitRate(degreeRe, slots)),

@@ -16,7 +16,6 @@ import (
 	"gnnlab/internal/measure"
 	"gnnlab/internal/obs"
 	"gnnlab/internal/par"
-	"gnnlab/internal/rng"
 	"gnnlab/internal/workload"
 )
 
@@ -295,9 +294,6 @@ func IDs() []string {
 	}
 	return ids
 }
-
-// rngFor derives the experiment-seeded RNG used by policy baselines.
-func rngFor(o Options) *rng.Rand { return rng.New(o.Seed ^ 0x5EED) }
 
 // Formatting helpers shared by experiments.
 

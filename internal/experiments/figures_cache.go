@@ -6,8 +6,6 @@ import (
 	"gnnlab/internal/cache"
 	"gnnlab/internal/device"
 	"gnnlab/internal/gen"
-	"gnnlab/internal/par"
-	"gnnlab/internal/rng"
 	"gnnlab/internal/sampling"
 )
 
@@ -21,41 +19,69 @@ type policyEval struct {
 	order    []string
 }
 
-// evalPolicies measures `epochs` epochs of the Sample stage and builds the
-// requested policy rankings. prescKs lists the PreSC#K variants wanted.
-// The footprint replay and the PreSC pre-sampling runs use the Options'
-// worker pool, and the independent ranking builds run concurrently too;
-// each build writes only its own slot, so the result is deterministic.
-func evalPolicies(o Options, d *gen.Dataset, alg sampling.Algorithm, epochs int, prescKs []int) *policyEval {
+// evalPolicies loads preset, measures o.Epochs epochs of the Sample stage
+// and builds the requested policy rankings. prescKs lists the PreSC#K
+// variants wanted. The footprint replay and the PreSC pre-sampling runs
+// use the Options' worker pool, and the independent ranking builds run
+// concurrently too; each build writes only its own slot, so the result is
+// deterministic.
+func evalPolicies(o Options, preset string, alg sampling.Algorithm, prescKs []int) (*policyEval, error) {
+	d, err := o.load(preset)
+	if err != nil {
+		return nil, err
+	}
 	pe := &policyEval{
 		d:        d,
-		fp:       cache.CollectFootprintN(d.Graph, alg, d.TrainSet, o.batchSize(), epochs, o.Seed, o.Workers),
+		fp:       cache.CollectFootprint(d.Graph, alg, d.TrainSet, o.batchSize(), o.Epochs, o.Seed, o.Workers),
 		rankings: map[string][]int32{},
 	}
-	type job struct {
-		name  string
-		build func() []int32
-	}
-	jobs := []job{
-		{"Random", func() []int32 {
-			return cache.RandomHotness(d.NumVertices(), rng.New(o.Seed^0x5EED)).Rank()
-		}},
-		{"Degree", func() []int32 { return cache.DegreeHotness(d.Graph).Rank() }},
-	}
+	n := d.NumVertices()
+	pe.order = []string{"Random", "Degree"}
+	specs := []cache.RankSpec{o.rankSpec(cache.PolicyRandom, alg, pe.fp, n), o.rankSpec(cache.PolicyDegree, alg, pe.fp, n)}
 	for _, k := range prescKs {
-		k := k
-		jobs = append(jobs, job{fmt.Sprintf("PreSC#%d", k), func() []int32 {
-			return cache.PreSCN(d.Graph, alg, d.TrainSet, o.batchSize(), k, o.Seed^0x12345, o.Workers).Hotness.Rank()
-		}})
+		s := o.rankSpec(cache.PolicyPreSC, alg, pe.fp, n)
+		s.K = k
+		pe.order = append(pe.order, fmt.Sprintf("PreSC#%d", k))
+		specs = append(specs, s)
 	}
-	jobs = append(jobs, job{"Optimal", func() []int32 { return pe.fp.OptimalHotness().Rank() }})
-	ranks := make([][]int32, len(jobs))
-	par.ForEach(o.Workers, len(jobs), func(_, i int) { ranks[i] = jobs[i].build() })
-	for i, j := range jobs {
-		pe.rankings[j.name] = ranks[i]
-		pe.order = append(pe.order, j.name)
+	pe.order = append(pe.order, "Optimal")
+	specs = append(specs, o.rankSpec(cache.PolicyOptimal, alg, pe.fp, n))
+	ranks := make([]cache.Ranking, len(specs))
+	if err := o.runCells(len(specs), func(i int) error {
+		var err error
+		ranks[i], err = cache.Rank(d.Graph, d.TrainSet, specs[i])
+		return err
+	}); err != nil {
+		return nil, err
 	}
-	return pe
+	for i, name := range pe.order {
+		pe.rankings[name] = ranks[i].Order
+	}
+	return pe, nil
+}
+
+// rankSpec returns the cache experiments' ranking inputs for policy over
+// alg: the Options' batch size, seed and worker pool, PreSC#1, and the
+// Optimal oracle read from fp. top is the ranking prefix wanted.
+func (o Options) rankSpec(policy cache.PolicyKind, alg sampling.Algorithm, fp *cache.Footprint, top int) cache.RankSpec {
+	return cache.RankSpec{
+		Policy: policy, Alg: alg, BatchSize: o.batchSize(), K: 1, Epochs: fp.Epochs,
+		Seed: o.Seed, Workers: o.Workers, Top: top, Footprint: fp,
+	}
+}
+
+// hitRates returns, for each policy, the hit rate on fp of caching the
+// first `slots` vertices of its ranking (rankSpec's inputs).
+func (o Options) hitRates(d *gen.Dataset, alg sampling.Algorithm, fp *cache.Footprint, slots int, policies ...cache.PolicyKind) ([]float64, error) {
+	out := make([]float64, len(policies))
+	for i, p := range policies {
+		r, err := cache.Rank(d.Graph, d.TrainSet, o.rankSpec(p, alg, fp, slots))
+		if err != nil {
+			return nil, err
+		}
+		out[i] = fp.HitRate(r.Order, slots)
+	}
+	return out, nil
 }
 
 // slots converts a cache ratio to a slot count.
@@ -75,11 +101,10 @@ func (pe *policyEval) perEpochBytes(name string, ratio float64, vfb int64) int64
 // marking the time-sharing (7%) and space-sharing (21%) operating points.
 func Figure4a(o Options) (*Table, error) {
 	o = o.withDefaults()
-	d, err := o.load(gen.PresetPA)
+	pe, err := evalPolicies(o, gen.PresetPA, sampling.ForGCN(), nil)
 	if err != nil {
 		return nil, err
 	}
-	pe := evalPolicies(o, d, sampling.ForGCN(), o.Epochs, nil)
 	t := &Table{
 		ID:     "figure4a",
 		Title:  "PA: hit rate and Extract time vs cache ratio (Degree policy)",
@@ -89,7 +114,7 @@ func Figure4a(o Options) (*Table, error) {
 		},
 	}
 	cost := device.DefaultCostModel()
-	vfb := int64(d.FeatureDim) * 4
+	vfb := int64(pe.d.FeatureDim) * 4
 	for _, ratio := range []float64{0, 0.02, 0.05, 0.07, 0.10, 0.15, 0.21, 0.30} {
 		slots := pe.slots(ratio)
 		hr := pe.fp.HitRate(pe.rankings["Degree"], slots)
@@ -106,11 +131,10 @@ func Figure4a(o Options) (*Table, error) {
 // feature dimension grows.
 func Figure4b(o Options) (*Table, error) {
 	o = o.withDefaults()
-	d, err := o.load(gen.PresetPA)
+	pe, err := evalPolicies(o, gen.PresetPA, sampling.ForGCN(), nil)
 	if err != nil {
 		return nil, err
 	}
-	pe := evalPolicies(o, d, sampling.ForGCN(), o.Epochs, nil)
 	// 5 GB of cache in the paper → 50 MB at 1/100 scale, divided by the
 	// experiment scale.
 	budget := int64(50<<20) / int64(o.Scale)
@@ -121,8 +145,8 @@ func Figure4b(o Options) (*Table, error) {
 	}
 	for _, dim := range []int{128, 256, 512, 768} {
 		vfb := int64(dim) * 4
-		slots := cache.SlotsFor(budget, vfb, d.NumVertices())
-		ratio := cache.RatioFor(slots, d.NumVertices())
+		slots := cache.SlotsFor(budget, vfb, pe.d.NumVertices())
+		ratio := cache.RatioFor(slots, pe.d.NumVertices())
 		hr := pe.fp.HitRate(pe.rankings["Degree"], slots)
 		moved := pe.fp.TransferredBytes(pe.rankings["Degree"], slots, vfb) / int64(pe.fp.Epochs)
 		t.AddRow(fmt.Sprintf("%d", dim), pct(ratio), pct(hr), megabytes(moved))
@@ -151,12 +175,11 @@ func Figure5(o Options) (*Table, error) {
 	groups := make([][][]string, len(cases))
 	if err := o.runCells(len(cases), func(i int) error {
 		c := cases[i]
-		d, err := o.load(c.preset)
+		pe, err := evalPolicies(o, c.preset, c.alg, nil)
 		if err != nil {
 			return err
 		}
-		pe := evalPolicies(o, d, c.alg, o.Epochs, nil)
-		vfb := int64(d.FeatureDim) * 4
+		vfb := int64(pe.d.FeatureDim) * 4
 		for _, ratio := range []float64{0.03, 0.07, 0.10, 0.20, 0.30} {
 			deg := pe.perEpochBytes("Degree", ratio, vfb)
 			opt := pe.perEpochBytes("Optimal", ratio, vfb)
@@ -198,11 +221,10 @@ func Figure10(o Options) (*Table, error) {
 	rows := make([][]string, len(algs)*len(presets))
 	if err := o.runCells(len(rows), func(i int) error {
 		a, name := algs[i/len(presets)], presets[i%len(presets)]
-		d, err := o.load(name)
+		pe, err := evalPolicies(o, name, a.mk(), []int{1})
 		if err != nil {
 			return err
 		}
-		pe := evalPolicies(o, d, a.mk(), o.Epochs, []int{1})
 		slots := pe.slots(0.10)
 		rows[i] = []string{a.name, name,
 			pct(pe.fp.HitRate(pe.rankings["Random"], slots)),
@@ -222,11 +244,10 @@ func Figure10(o Options) (*Table, error) {
 // deeper pre-sampling.
 func Figure11a(o Options) (*Table, error) {
 	o = o.withDefaults()
-	d, err := o.load(gen.PresetTW)
+	pe, err := evalPolicies(o, gen.PresetTW, sampling.ForGCNWeighted(), []int{1, 2, 3})
 	if err != nil {
 		return nil, err
 	}
-	pe := evalPolicies(o, d, sampling.ForGCNWeighted(), o.Epochs, []int{1, 2, 3})
 	t := &Table{
 		ID:     "figure11a",
 		Title:  "TW weighted: hit rate vs cache ratio by policy",
@@ -246,11 +267,10 @@ func Figure11a(o Options) (*Table, error) {
 // sampling: PreSC reaches a high hit rate at a very small ratio.
 func Figure11b(o Options) (*Table, error) {
 	o = o.withDefaults()
-	d, err := o.load(gen.PresetPA)
+	pe, err := evalPolicies(o, gen.PresetPA, sampling.ForGCN(), []int{1})
 	if err != nil {
 		return nil, err
 	}
-	pe := evalPolicies(o, d, sampling.ForGCN(), o.Epochs, []int{1})
 	t := &Table{
 		ID:     "figure11b",
 		Title:  "PA 3-hop random: hit rate vs cache ratio by policy",
@@ -270,11 +290,10 @@ func Figure11b(o Options) (*Table, error) {
 // (scaled) cache: transferred data per mini-batch by policy.
 func Figure11c(o Options) (*Table, error) {
 	o = o.withDefaults()
-	d, err := o.load(gen.PresetPA)
+	pe, err := evalPolicies(o, gen.PresetPA, sampling.ForGCN(), []int{1})
 	if err != nil {
 		return nil, err
 	}
-	pe := evalPolicies(o, d, sampling.ForGCN(), o.Epochs, []int{1})
 	budget := int64(50<<20) / int64(o.Scale)
 	t := &Table{
 		ID:     "figure11c",
@@ -283,8 +302,8 @@ func Figure11c(o Options) (*Table, error) {
 	}
 	for _, dim := range []int{100, 300, 500, 700, 900} {
 		vfb := int64(dim) * 4
-		slots := cache.SlotsFor(budget, vfb, d.NumVertices())
-		row := []string{fmt.Sprintf("%d", dim), pct(cache.RatioFor(slots, d.NumVertices()))}
+		slots := cache.SlotsFor(budget, vfb, pe.d.NumVertices())
+		row := []string{fmt.Sprintf("%d", dim), pct(cache.RatioFor(slots, pe.d.NumVertices()))}
 		for _, name := range pe.order {
 			moved := pe.fp.TransferredBytes(pe.rankings[name], slots, vfb) / int64(pe.fp.Epochs)
 			row = append(row, megabytes(moved))

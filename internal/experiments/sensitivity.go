@@ -41,12 +41,13 @@ func AblationCoupling(o Options) (*Table, error) {
 			return nil, err
 		}
 		alg := sampling.ForGCN()
-		fp := cache.CollectFootprint(d.Graph, alg, d.TrainSet, o.batchSize(), o.Epochs, o.Seed)
+		fp := cache.CollectFootprint(d.Graph, alg, d.TrainSet, o.batchSize(), o.Epochs, o.Seed, o.Workers)
 		slots := int(0.10 * float64(d.NumVertices()))
-		deg := fp.HitRate(cache.DegreeHotness(d.Graph).RankTop(slots), slots)
-		pre := fp.HitRate(cache.PreSC(d.Graph, alg, d.TrainSet, o.batchSize(), 1, o.Seed^0x12345).Hotness.RankTop(slots), slots)
-		opt := fp.HitRate(fp.OptimalHotness().RankTop(slots), slots)
-		t.AddRow(fmt.Sprintf("%.2f", coupling), pct(deg), pct(pre), pct(opt))
+		hr, err := o.hitRates(d, alg, fp, slots, cache.PolicyDegree, cache.PolicyPreSC, cache.PolicyOptimal)
+		if err != nil {
+			return nil, err
+		}
+		t.AddRow(fmt.Sprintf("%.2f", coupling), pct(hr[0]), pct(hr[1]), pct(hr[2]))
 	}
 	return t, nil
 }

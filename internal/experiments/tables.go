@@ -94,7 +94,7 @@ func Table2(o Options) (*Table, error) {
 		if err != nil {
 			return err
 		}
-		fps := cache.CollectEpochFootprintsN(d.Graph, a.alg, d.TrainSet, o.batchSize(), epochs, o.Seed, o.Workers)
+		fps := cache.CollectEpochFootprints(d.Graph, a.alg, d.TrainSet, o.batchSize(), epochs, o.Seed, o.Workers)
 		var sum float64
 		for j := 1; j < len(fps); j++ {
 			sum += cache.Similarity(fps[j-1], fps[j], 0.10)

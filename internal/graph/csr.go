@@ -161,40 +161,6 @@ func (g *CSR) memoizeDegreeStats() {
 	g.maxDeg = g.computeMaxDegree()
 }
 
-// DegreeRank returns vertex IDs sorted by descending out-degree, ties broken
-// by ascending ID. This is the ordering the degree-based caching policy uses.
-// It is DegreeRankTop with k = NumVertices; callers that only consult a
-// prefix (load_cache reads `slots` entries) should call DegreeRankTop.
-func (g *CSR) DegreeRank() []int32 {
-	return g.DegreeRankTop(g.NumVertices())
-}
-
-// DegreeRankTop returns the k highest-out-degree vertex IDs in descending
-// degree order, ties broken by ascending ID — the same prefix
-// DegreeRank()[:k] would give, in O(|V|) expected time via SelectTop
-// instead of a full sort. k is clamped to the vertex count.
-func (g *CSR) DegreeRankTop(k int) []int32 {
-	n := g.NumVertices()
-	ids := make([]int32, n)
-	for i := range ids {
-		ids[i] = int32(i)
-	}
-	if k > n {
-		k = n
-	}
-	SelectTop(ids, k, func(a, b int32) bool {
-		da, db := g.Degree(a), g.Degree(b)
-		if da != db {
-			return da > db
-		}
-		return a < b
-	})
-	if k == n {
-		return ids
-	}
-	return ids[:k:k]
-}
-
 // Reverse returns the transpose graph (every edge u->v becomes v->u).
 // Weights, if present, follow their edges.
 func (g *CSR) Reverse() *CSR {

@@ -246,25 +246,3 @@ func TestDeltaAddEdgeValidatesEagerly(t *testing.T) {
 	d.AddEdge(v, 0, 0)
 	d.AddEdge(0, v, 0)
 }
-
-// TestDegreeRankTopMatchesFullSort is the satellite differential: the
-// introselect prefix must equal the full sort's prefix exactly.
-func TestDegreeRankTopMatchesFullSort(t *testing.T) {
-	stream := randomStream(31, 500, 6000, false)
-	b := NewBuilder(500, false)
-	for _, e := range stream {
-		b.AddEdge(e.Src, e.Dst, e.Weight)
-	}
-	g, _ := b.Build(false)
-	full := g.DegreeRank()
-	for _, k := range []int{0, 1, 7, 32, 33, 250, 499, 500, 600} {
-		got := g.DegreeRankTop(k)
-		want := full
-		if k < len(full) {
-			want = full[:k]
-		}
-		if !reflect.DeepEqual(got, want) {
-			t.Errorf("DegreeRankTop(%d) differs from DegreeRank prefix", k)
-		}
-	}
-}

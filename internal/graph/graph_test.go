@@ -141,15 +141,6 @@ func TestMaxDegreeAndRank(t *testing.T) {
 	if got := g.MaxDegree(); got != 2 {
 		t.Errorf("MaxDegree = %d, want 2", got)
 	}
-	rank := g.DegreeRank()
-	if rank[0] != 0 { // vertex 0 has the unique max out-degree
-		t.Errorf("DegreeRank[0] = %d, want 0", rank[0])
-	}
-	for i := 1; i < len(rank); i++ {
-		if g.Degree(rank[i-1]) < g.Degree(rank[i]) {
-			t.Errorf("DegreeRank not descending at %d", i)
-		}
-	}
 }
 
 // randomGraph builds a random small graph for property tests.

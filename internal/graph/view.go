@@ -58,8 +58,8 @@ type NeighborDecoder interface {
 }
 
 // SelectTop partially sorts ids so that ids[:k] holds the least k elements
-// under less, in sorted order — the O(|V|) expected-time introselect the
-// cache layer's RankTop and CSR.DegreeRankTop share. less must be a strict
+// under less, in sorted order — the O(|V|) expected-time introselect
+// behind the cache layer's RankTop and top-set selection. less must be a strict
 // total order (callers break ties by ascending vertex ID), which makes the
 // k-prefix — and its sorted order — the unique top-k regardless of
 // partition pivots: results are bit-identical to sorting everything and

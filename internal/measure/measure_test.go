@@ -8,6 +8,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"gnnlab/internal/cache"
 	"gnnlab/internal/gen"
 	"gnnlab/internal/obs"
 	"gnnlab/internal/sampling"
@@ -129,14 +130,17 @@ func TestStoreKeysAndRankings(t *testing.T) {
 		t.Error("re-request of specA did not return the stored measurement")
 	}
 
-	key := RankKey{Dataset: d.Name, Policy: "degree"}
+	key := RankKey{Dataset: d.Name, Rank: cache.RankKey{Policy: cache.PolicyDegree}}
 	var ranks atomic.Int64
-	rank := func() Ranking {
+	rank := func() (cache.Ranking, error) {
 		ranks.Add(1)
-		return Ranking{Order: []int32{3, 1, 2}}
+		return cache.Ranking{Order: []int32{3, 1, 2}}, nil
 	}
-	r1 := store.GetOrRank(key, rank)
-	r2 := store.GetOrRank(key, rank)
+	r1, err1 := store.GetOrRank(key, rank)
+	r2, err2 := store.GetOrRank(key, rank)
+	if err1 != nil || err2 != nil {
+		t.Fatalf("GetOrRank errors: %v, %v", err1, err2)
+	}
 	if ranks.Load() != 1 {
 		t.Errorf("rank ran %d times, want 1", ranks.Load())
 	}

@@ -4,6 +4,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"gnnlab/internal/cache"
 	"gnnlab/internal/obs"
 )
 
@@ -21,7 +22,7 @@ import (
 type Store struct {
 	mu       sync.Mutex
 	measures map[Spec]*entry[*Measurement]
-	rankings map[RankKey]*entry[Ranking]
+	rankings map[RankKey]*entry[cache.Ranking]
 
 	hits      atomic.Int64
 	misses    atomic.Int64
@@ -38,13 +39,14 @@ type entry[T any] struct {
 	once sync.Once
 	done atomic.Bool
 	v    T
+	err  error // the producing call's error (rankings only)
 }
 
 // NewStore returns an empty measurement store.
 func NewStore() *Store {
 	return &Store{
 		measures: make(map[Spec]*entry[*Measurement]),
-		rankings: make(map[RankKey]*entry[Ranking]),
+		rankings: make(map[RankKey]*entry[cache.Ranking]),
 	}
 }
 
@@ -98,47 +100,34 @@ func (s *Store) GetOrMeasure(spec Spec, collect func() *Measurement) *Measuremen
 	return e.v
 }
 
-// RankKey is the content key of a cache-ranking computation. Policy
-// parameters that change the ranking are in; the device cost model is
-// out (PreSC's pre-sampling *time* is priced per configuration from the
-// memoized edge counts).
+// RankKey is the content key of a cache-ranking computation: the dataset
+// plus the policy inputs cache.RankSpec.Key names. The device cost model
+// is out (PreSC's pre-sampling *time* is priced per configuration from
+// the memoized edge counts).
 type RankKey struct {
-	Dataset   string
-	Vertices  int
-	Edges     int64
-	Policy    string
-	Algorithm string
-	BatchSize int
-	K         int
-	Epochs    int
-	Seed      uint64
-}
-
-// Ranking is a memoized cache ranking: the hotness-ordered vertex list
-// plus, for PreSC, the pre-sampling edge counts its cost derives from.
-type Ranking struct {
-	Order        []int32
-	SampledEdges int64
-	ScannedEdges int64
+	Dataset  string
+	Vertices int
+	Edges    int64
+	Rank     cache.RankKey
 }
 
 // GetOrRank returns the ranking stored under key, producing it with rank
 // on first request, single-flight like GetOrMeasure. Rankings count
 // toward the same hit/miss/coalesced statistics.
-func (s *Store) GetOrRank(key RankKey, rank func() Ranking) Ranking {
+func (s *Store) GetOrRank(key RankKey, rank func() (cache.Ranking, error)) (cache.Ranking, error) {
 	s.mu.Lock()
 	e, ok := s.rankings[key]
 	if !ok {
-		e = &entry[Ranking]{}
+		e = &entry[cache.Ranking]{}
 		s.rankings[key] = e
 	}
 	s.mu.Unlock()
 	s.account(ok, ok && !e.done.Load())
 	e.once.Do(func() {
-		e.v = rank()
+		e.v, e.err = rank()
 		e.done.Store(true)
 	})
-	return e.v
+	return e.v, e.err
 }
 
 // Stats reports how often the store was consulted: hits are requests

@@ -4,6 +4,7 @@ import (
 	"sync"
 	"testing"
 
+	"gnnlab/internal/cache"
 	"gnnlab/internal/obs"
 )
 
@@ -106,8 +107,10 @@ func TestStoreCoalescedWaits(t *testing.T) {
 
 func TestStoreObserveSeedsExistingCounts(t *testing.T) {
 	s := NewStore()
-	s.GetOrRank(RankKey{Dataset: "PR", Policy: "presc"}, func() Ranking { return Ranking{} })
-	s.GetOrRank(RankKey{Dataset: "PR", Policy: "presc"}, func() Ranking { return Ranking{} })
+	key := RankKey{Dataset: "PR", Rank: cache.RankKey{Policy: cache.PolicyPreSC}}
+	rank := func() (cache.Ranking, error) { return cache.Ranking{}, nil }
+	s.GetOrRank(key, rank)
+	s.GetOrRank(key, rank)
 	reg := obs.NewRegistry()
 	s.Observe(reg)
 	snap := reg.Snapshot()

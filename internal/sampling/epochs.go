@@ -11,8 +11,10 @@ import (
 // batch-keyed SplitN — so the sampled stream is a pure function of
 // (seed, epoch, batch), independent of worker count and scheduling. This
 // is the determinism convention shared by the measurement engine
-// (internal/measure), the cache-policy replays (internal/cache) and the
-// live training pipeline (internal/train).
+// (internal/measure) and the cache-policy replays (internal/cache). The
+// live training pipeline (internal/train) does not use it: it keys each
+// batch's stream as rng.New(seed^epoch<<20^batch), so its samples are
+// scheduling-independent but differ from a PlanEpochs replay.
 type EpochCell struct {
 	Epoch int
 	Batch int

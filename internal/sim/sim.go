@@ -11,6 +11,8 @@ import (
 	"fmt"
 	"math"
 	"sort"
+
+	"gnnlab/internal/sched"
 )
 
 // Seconds is simulated time.
@@ -410,7 +412,7 @@ func Consume(tasks []Task, opts ConsumeOptions) Result {
 			best := -1
 			bestTrain, bestExtract := math.Inf(1), math.Inf(1)
 			for ci, c := range consumers {
-				if c.standby && !includeIdleStandby && !standbyProfitable(remaining, aliveNormal, opts) {
+				if c.standby && !includeIdleStandby && !sched.ShouldSwitch(remaining, opts.TrainerTaskTime, aliveNormal, opts.StandbyTaskTime) {
 					continue
 				}
 				es, ts := c.plan(t.Ready, t.extractOn(c), faults)
@@ -506,16 +508,6 @@ func Consume(tasks []Task, opts ConsumeOptions) Result {
 		}
 	}
 	return res
-}
-
-// standbyProfitable evaluates the §5.3 profit metric for the current
-// queue depth over the aliveNormal surviving normal Trainers.
-func standbyProfitable(remaining, aliveNormal int, opts ConsumeOptions) bool {
-	if aliveNormal <= 0 {
-		return true // P = +∞
-	}
-	p := float64(remaining)*opts.TrainerTaskTime/float64(aliveNormal) - opts.StandbyTaskTime
-	return p > 0
 }
 
 // activeConsumersAt counts consumers available at simulated time t

@@ -14,21 +14,25 @@ import (
 
 // TestPipelinedSamplingMatchesInline verifies that the live factored
 // pipeline (concurrent Sampler goroutines + the global queue) produces
-// exactly the same samples as inline sampling: per-batch RNG streams are
-// keyed by (epoch, batch), so goroutine scheduling cannot change what is
-// sampled.
+// exactly the same samples as a plain inline loop over sampleOne: per-batch
+// RNG streams are keyed by (epoch, batch), so goroutine scheduling cannot
+// change what is sampled.
 func TestPipelinedSamplingMatchesInline(t *testing.T) {
 	d := convDataset(t)
 	spec := workload.Spec{Kind: workload.GraphSAGE, BatchSize: 64}
 	alg := spec.NewSampler()
-	opts := Options{Seed: 11, BatchSize: 64}.withDefaults()
+	opts := Options{Seed: 11, BatchSize: 64, NumSamplers: 4}.withDefaults()
 
 	batches := sampling.Batches(d.TrainSet, 64, rng.New(3))
-	inline, err := produceSamples(d, alg, batches, opts, 0).take(len(batches))
-	if err != nil {
-		t.Fatal(err)
+	inline := make([]*sampling.Sample, len(batches))
+	a := sampling.CloneAlgorithm(alg)
+	for i, b := range batches {
+		item := sampleOne(d, a, b, i, opts, 0)
+		if item.err != nil {
+			t.Fatal(item.err)
+		}
+		inline[i] = item.s
 	}
-	opts.NumSamplers = 4
 	piped, err := produceSamples(d, alg, batches, opts, 0).take(len(batches))
 	if err != nil {
 		t.Fatal(err)
@@ -89,7 +93,7 @@ func TestTrainDeterministicInline(t *testing.T) {
 			TargetAccuracy: 1.01,
 			MaxEpochs:      2,
 			EvalSize:       100,
-			NumSamplers:    0, // inline: bit-deterministic
+			NumSamplers:    0, // default: one Sampler goroutine
 		})
 		if err != nil {
 			t.Fatal(err)

@@ -35,9 +35,10 @@ type Options struct {
 	// exactly modelling k GPUs exchanging gradients (§2). More trainers
 	// mean fewer updates per epoch — the effect Fig 16(b) measures.
 	NumTrainers int
-	// NumSamplers > 0 runs that many concurrent Sampler goroutines
-	// feeding the global queue (the live factored pipeline); 0 samples
-	// inline, which is bit-deterministic.
+	// NumSamplers concurrent Sampler goroutines (default 1) feed the
+	// global queue — the live factored pipeline. Per-batch RNG keying and
+	// a reorder buffer make the samples, and so the training result,
+	// independent of the count.
 	NumSamplers int
 	LR          float64
 	// TargetAccuracy stops training once evaluation accuracy reaches it.
@@ -47,7 +48,9 @@ type Options struct {
 	// for accuracy evaluation.
 	EvalSize int
 	// CacheRatio > 0 enables a real feature cache on the Trainer side,
-	// filled by CachePolicy (default PreSC#1): the live analogue of §6.
+	// filled by CachePolicy: the live analogue of §6. The zero policy is
+	// Random; PreSC runs as PreSC#1. Optimal is rejected: its oracle needs
+	// the footprint of the very run being trained.
 	CacheRatio  float64
 	CachePolicy cache.PolicyKind
 	Seed        uint64
@@ -109,6 +112,9 @@ func (o Options) validate() error {
 	if math.IsNaN(o.CacheRatio) || o.CacheRatio < 0 || o.CacheRatio > 1 {
 		return fmt.Errorf("train: CacheRatio %v outside [0, 1]", o.CacheRatio)
 	}
+	if o.CacheRatio > 0 && o.CachePolicy == cache.PolicyOptimal {
+		return fmt.Errorf("train: CachePolicy %v needs the footprint of the run being trained", o.CachePolicy)
+	}
 	return nil
 }
 
@@ -121,6 +127,9 @@ func (o Options) withDefaults() Options {
 	}
 	if o.NumTrainers == 0 {
 		o.NumTrainers = 1
+	}
+	if o.NumSamplers == 0 {
+		o.NumSamplers = 1
 	}
 	if o.LR == 0 {
 		o.LR = 0.01
@@ -546,20 +555,15 @@ func buildStore(d *gen.Dataset, alg sampling.Algorithm, opts Options) (*feature.
 	if opts.CacheRatio <= 0 {
 		return store, nil
 	}
-	// Only the first `slots` ranking entries reach the cache table, so
-	// select the prefix (O(|V|) expected) instead of sorting all vertices.
+	// Only the first `slots` ranking entries reach the cache table.
 	slots := int(opts.CacheRatio * float64(d.NumVertices()))
-	var ranking []int32
-	switch opts.CachePolicy {
-	case cache.PolicyDegree:
-		ranking = cache.DegreeHotness(d.Graph).RankTop(slots)
-	case cache.PolicyRandom:
-		ranking = cache.RandomHotness(d.NumVertices(), rng.New(opts.Seed^0x5EED)).RankTop(slots)
-	default: // PreSC#1 (also PolicyPreSC explicitly)
-		res := cache.PreSC(d.Graph, alg, d.TrainSet, opts.BatchSize, 1, opts.Seed^0x12345)
-		ranking = res.Hotness.RankTop(slots)
+	ranking, err := cache.Rank(d.Graph, d.TrainSet, cache.RankSpec{
+		Policy: opts.CachePolicy, Alg: alg, BatchSize: opts.BatchSize, K: 1, Seed: opts.Seed, Top: slots,
+	})
+	if err != nil {
+		return nil, fmt.Errorf("train: CachePolicy: %w", err)
 	}
-	table, err := cache.Load(ranking, slots, d.NumVertices(), int64(d.FeatureDim)*4)
+	table, err := cache.Load(ranking.Order, slots, d.NumVertices(), int64(d.FeatureDim)*4)
 	if err != nil {
 		return nil, err
 	}
@@ -569,15 +573,13 @@ func buildStore(d *gen.Dataset, alg sampling.Algorithm, opts Options) (*feature.
 	return store, nil
 }
 
-// sampleStream delivers an epoch's samples in batch order, either from an
-// inline (bit-deterministic) pre-sampled slice or streamed live from
-// concurrent Sampler goroutines through the global queue. Streaming
+// sampleStream delivers an epoch's samples in batch order, streamed live
+// from concurrent Sampler goroutines through the global queue. Streaming
 // overlaps the Sample stage with Extract+Train — the factored pipeline —
 // while a reorder buffer keeps delivery order (and therefore training
 // results) independent of goroutine scheduling.
 type sampleStream struct {
-	inline []*sampling.Sample // non-nil for inline mode
-	next   int
+	next int
 
 	done    *queue.Queue[indexedSample]
 	pending map[int]*sampling.Sample
@@ -589,13 +591,8 @@ type sampleStream struct {
 
 // abandon stops a live stream mid-epoch (injected crash recovery): the
 // remaining work drains unserved and the done queue closes, so blocked
-// Sampler goroutines wake, drop their samples and exit. Inline streams
-// have nothing to stop.
-func (st *sampleStream) abandon() {
-	if st.cancel != nil {
-		st.cancel()
-	}
-}
+// Sampler goroutines wake, drop their samples and exit.
+func (st *sampleStream) abandon() { st.cancel() }
 
 type indexedSample struct {
 	idx int
@@ -612,14 +609,6 @@ func (st *sampleStream) take(k int) ([]*sampling.Sample, error) {
 	out := st.buf[:0]
 	defer func() { st.buf = out }()
 	for len(out) < k {
-		if st.inline != nil {
-			if st.next >= len(st.inline) {
-				return nil, fmt.Errorf("train: sample stream exhausted at %d", st.next)
-			}
-			out = append(out, st.inline[st.next])
-			st.next++
-			continue
-		}
 		if s, ok := st.pending[st.next]; ok {
 			delete(st.pending, st.next)
 			out = append(out, s)
@@ -638,21 +627,12 @@ func (st *sampleStream) take(k int) ([]*sampling.Sample, error) {
 	return out, nil
 }
 
-// produceSamples runs the Sample stage for an epoch, either inline or
-// through the live factored pipeline (Sampler goroutines + global queue).
-// The per-batch RNG streams are keyed by (epoch, batch) so the sampled
-// neighborhoods do not depend on goroutine scheduling; the stream's
-// reorder buffer keeps delivery order deterministic too.
+// produceSamples runs the Sample stage for an epoch through the live
+// factored pipeline (Sampler goroutines + global queue). The per-batch
+// RNG streams are keyed by (epoch, batch) so the sampled neighborhoods do
+// not depend on goroutine scheduling; the stream's reorder buffer keeps
+// delivery order deterministic too.
 func produceSamples(d *gen.Dataset, alg sampling.Algorithm, batches [][]int32, opts Options, epoch int) *sampleStream {
-	if opts.NumSamplers <= 0 {
-		out := make([]*sampling.Sample, len(batches))
-		a := sampling.CloneAlgorithm(alg)
-		for i, b := range batches {
-			out[i] = a.Sample(d.Graph, b, rng.New(opts.Seed^uint64(epoch)<<20^uint64(i)))
-		}
-		return &sampleStream{inline: out}
-	}
-
 	type task struct {
 		idx   int
 		seeds []int32

@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"gnnlab/internal/cache"
 	"gnnlab/internal/gen"
 	"gnnlab/internal/workload"
 )
@@ -75,9 +76,10 @@ func TestTrainMoreTrainersFewerUpdates(t *testing.T) {
 	}
 }
 
-// TestTrainRejectsOutOfRangeOptions: negative sizes and counts and
-// non-finite rates fail with an error naming the field instead of
-// panicking or being silently reinterpreted.
+// TestTrainRejectsOutOfRangeOptions: negative sizes and counts,
+// non-finite rates and cache policies Train cannot build fail with an
+// error naming the field instead of panicking or being silently
+// reinterpreted.
 func TestTrainRejectsOutOfRangeOptions(t *testing.T) {
 	d := convDataset(t)
 	cases := []struct {
@@ -97,6 +99,8 @@ func TestTrainRejectsOutOfRangeOptions(t *testing.T) {
 		{"CacheRatio", Options{CacheRatio: math.NaN()}},
 		{"CacheRatio", Options{CacheRatio: -0.1}},
 		{"CacheRatio", Options{CacheRatio: 1.5}},
+		{"CachePolicy", Options{CacheRatio: 0.1, CachePolicy: cache.PolicyOptimal}},
+		{"CachePolicy", Options{CacheRatio: 0.1, CachePolicy: cache.PolicyKind(9)}},
 	}
 	for _, tc := range cases {
 		res, err := Train(d, tc.opts)

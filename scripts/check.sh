@@ -97,6 +97,16 @@ rm -rf "$SERVE_TMP"
 # Serving benchmark smoke: one iteration regenerates BENCH_serve.json
 # (exact simulated p50/p99/max-QPS per split + live microbatch cycle cost).
 go test -timeout 3600s -run xxx -bench=BenchmarkServe -benchtime=1x .
+# Live-training smoke: gnnlab-train end to end at two Sampler counts
+# (-samplers 0 means one goroutine). Per-batch RNG keying plus the reorder
+# buffer make the loss curve and the cache hit rate independent of the
+# count, so the epoch and feature-cache lines must match.
+TRAIN_TMP="$(mktemp -d)"
+for s in 0 2; do
+	go run ./cmd/gnnlab-train -scale 8 -epochs 3 -cache 0.1 -samplers "$s" | grep -E '^(epoch|feature cache)' > "$TRAIN_TMP/s$s.txt"
+done
+diff "$TRAIN_TMP/s0.txt" "$TRAIN_TMP/s2.txt"
+rm -rf "$TRAIN_TMP"
 # Perf-regression gate, part 2: regenerate the artifacts the smoke runs
 # above did not already refresh (measure, replay, sample), then diff all
 # six against the stashed baselines. Allocation metrics fail past 15%;
